@@ -17,7 +17,6 @@ import argparse
 import configparser
 import csv
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,8 +179,15 @@ def _get_float(cp, section, key) -> float:
     return _get(cp, section, key, float, "a number")
 
 
+def _integral(raw: str) -> int:
+    value = float(raw)
+    if not value.is_integer():
+        raise ValueError(raw)
+    return int(value)
+
+
 def _get_int(cp, section, key) -> int:
-    return _get(cp, section, key, lambda v: int(float(v)), "an integer")
+    return _get(cp, section, key, _integral, "an integer")
 
 
 def _get_pair(cp, section, key) -> tuple[float, float]:
@@ -338,6 +344,9 @@ def run_experiment(config_path, sets=(), desk=False,
                      cfg.geometry.view_angles_deg(), projector.forward(truth.data))
     write_raw_sinogram(out / "sinogram_clean.raw", clean,
                        cfg.geometry.channel_size)
+    mirrored = projector.mirrored_views
+    log.info("projector: %d views stored, %d mirrored, %.1f MB",
+             cfg.geometry.num_views - mirrored, mirrored, projector.nbytes / 2**20)
     measured = clean
     if cfg.noise is not None:
         measured = add_poisson_noise(clean, cfg.noise)
@@ -451,17 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap():
-    """LATOMO_THREADS caps BLAS pool sizes (the solver itself is
-    single-threaded and bit-reproducible regardless)."""
-    cap = os.environ.get("LATOMO_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = _build_parser().parse_args(argv)
     try:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FanBeamGeometry, ImageGrid, RoiRect, Sinogram, roi_rmse
+from .core import MU_PER_HU, FanBeamGeometry, ImageGrid, RoiRect, Sinogram, roi_rmse
 from .projector import Projector
 from .ssatv1 import ssatv1_pass
 from .ssatv2 import make_pyramid_level, ssatv2_pass
@@ -173,6 +173,8 @@ def _check_sinogram(geom: FanBeamGeometry, sino: Sinogram):
         )
     if not np.allclose(sino.view_angles, geom.view_angles_deg(), atol=1e-9):
         raise ValueError("sinogram view angles do not match the geometry")
+    if not np.all(np.isfinite(sino.data)):
+        raise ValueError("sinogram has non-finite values")
 
 
 def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -182,7 +184,8 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarra
     if config.algorithm == "wtv":
         w = update_weights(f, config.eps_hu)
         f, sizes = descent_steps(f, w, forward_diff_op(f.shape[0]),
-                                 config.tv_steps, params)
+                                 config.tv_steps, params,
+                                 delta_mu=MU_PER_HU * config.eps_hu)
         return f, tuple(sizes)
     sizes_all: list[float] = []
     if config.algorithm == "ssatv1":
@@ -216,8 +219,10 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
         projector = Projector(geom, config.width, config.height,
                               config.pixel_size, config.origin)
     else:
-        if (projector.width, projector.height) != (config.width, config.height):
-            raise ValueError("projector grid does not match the configuration")
+        field = projector.mismatch(config.width, config.height, config.pixel_size,
+                                   config.origin, geom)
+        if field is not None:
+            raise ValueError(f"prebuilt projector {field} does not match the configuration")
     if reference is not None and roi is not None:
         roi.validate_for(config.width, config.height)
 

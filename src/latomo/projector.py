@@ -2,9 +2,20 @@
 
 One ray per detector channel, traced through the channel center.  Ray/pixel
 weights are exact intersection lengths (mm) from parametric traversal of the
-pixel grid; the back-projector applies the transpose of the same weights, so
-the pair passes adjoint tests to rounding error.  All operations are plain
-single-threaded numpy and bit-reproducible.
+pixel grid.  Each view's weights are stored as one sparse matrix
+(``scipy.sparse.csr_array``: one row per channel, one column per pixel,
+float64 weights, int32 indices), together with its row and column sums;
+the forward projection is ``A @ x`` and the back-projection the copy-free
+transpose product ``A.T @ r``, so the pair passes adjoint tests to rounding
+error.  That costs 12 bytes per traversed (ray, pixel) pair.
+
+Mirror sharing: when the grid is centered in X and the view angles pair up
+as ``angles[k] + angles[V-1-k] == 180`` degrees, view ``V-1-k`` is the mirror
+image of view ``k`` across the Y axis.  Only view ``k`` is traced and
+stored; view ``V-1-k`` is applied through it with the channels reversed and
+the image flipped in X, which halves the trace time and the memory of a
+symmetric scan.  Otherwise every view is traced.  All operations are plain
+single-threaded numpy/scipy and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,10 +24,15 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .core import FanBeamGeometry, ImageGrid, Sinogram
 
 log = logging.getLogger(__name__)
+
+# Largest |angles[k] + angles[V-1-k] - 180| (degrees) that still counts as a
+# mirror pair.
+_MIRROR_TOL_DEG = 1e-9
 
 
 @dataclass(frozen=True)
@@ -27,32 +43,12 @@ class ViewSums:
     col_sums: np.ndarray  # (height, width) summed weights per pixel
 
 
-@dataclass(frozen=True)
-class _ViewTrace:
-    """Ragged (ray, pixel, weight) triples for one view, ray-major."""
-
-    weights: np.ndarray  # (nnz,) intersection lengths, mm
-    pixels: np.ndarray   # (nnz,) flat pixel indices
-    rays: np.ndarray     # (nnz,) ray index per entry
-    starts: np.ndarray   # (channels,) segment starts, clamped for reduceat
-    counts: np.ndarray   # (channels,) entries per ray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
-
-    def segment_sums(self, per_entry: np.ndarray) -> np.ndarray:
-        """Per-ray sums of an (nnz,) array; empty rays sum to zero."""
-        if per_entry.size == 0:
-            return np.zeros(self.counts.size)
-        out = np.add.reduceat(per_entry, self.starts)
-        out[self.counts == 0] = 0.0
-        return out
-
-
 class Projector:
     """Fan-beam system operator bound to one geometry and one image lattice.
 
-    Traced view weights are cached by default; for an experiment-size grid
-    the cache holds a few hundred MB and removes per-sweep retracing cost.
+    Traced view matrices are cached by default; for an experiment-size grid
+    the cache holds a few hundred MB (see ``nbytes``) and removes per-sweep
+    retracing cost.
     """
 
     def __init__(self, geom: FanBeamGeometry, width: int, height: int,
@@ -68,7 +64,12 @@ class Projector:
         self.y_lo = -self.height * self.pixel_size / 2.0 + self.origin[1]
         self.angles_deg = geom.view_angles_deg()
         self._cache_enabled = cache
-        self._views: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._views: dict[int, tuple[csr_array, np.ndarray, np.ndarray]] = {}
+        views = np.arange(len(self.angles_deg))
+        pair_sums = self.angles_deg + self.angles_deg[::-1]
+        symmetric = (self.origin[0] == 0.0
+                     and bool(np.all(np.abs(pair_sums - 180.0) <= _MIRROR_TOL_DEG)))
+        self._mirrored = symmetric & (views > views[::-1])
         half_diag = float(np.hypot(self.width, self.height)) * self.pixel_size / 2.0
         grid_reach = half_diag + float(np.hypot(*self.origin))
         if grid_reach > geom.fov_radius:
@@ -79,25 +80,47 @@ class Projector:
 
     # -- geometry ----------------------------------------------------------
 
+    def mismatch(self, width: int, height: int, pixel_size: float,
+                 origin=(0.0, 0.0), geom: FanBeamGeometry | None = None) -> str | None:
+        """Name of the first field in which this projector differs from the
+        given lattice (and scan geometry, when given), or None if none does."""
+        fields = [
+            ("width", self.width, int(width)),
+            ("height", self.height, int(height)),
+            ("pixel_size", self.pixel_size, float(pixel_size)),
+            ("origin", self.origin, (float(origin[0]), float(origin[1]))),
+        ]
+        if geom is not None:
+            fields += [(name, getattr(self.geom, name), getattr(geom, name))
+                       for name in ("source_to_detector", "source_to_isocenter",
+                                    "detector_channels", "channel_size")]
+        for name, mine, theirs in fields:
+            if mine != theirs:
+                return name
+        if geom is not None:
+            angles = geom.view_angles_deg()
+            if (angles.shape != self.angles_deg.shape
+                    or not np.allclose(angles, self.angles_deg, rtol=0.0, atol=1e-9)):
+                return "view angles"
+        return None
+
     def matches_image(self, img: ImageGrid) -> bool:
-        return (
-            img.width == self.width
-            and img.height == self.height
-            and img.pixel_size == self.pixel_size
-            and tuple(img.origin) == self.origin
-        )
+        return self.mismatch(img.width, img.height, img.pixel_size, img.origin) is None
 
     def _require_view(self, view_index: int):
         if not 0 <= view_index < len(self.angles_deg):
             raise IndexError(f"view index {view_index} out of range")
 
-    def _trace(self, view_index: int):
-        """Ray weights for one view, compacted to the ragged form
-        (weights, flat_pixel_index, ray_index, row_sums, col_sums): three
-        equal-length 1-D arrays listing every traversed (ray, pixel) pair.
-        """
-        if view_index in self._views:
-            return self._views[view_index]
+    def _image(self, values: np.ndarray) -> np.ndarray:
+        return np.asarray(values, dtype=np.float64).reshape(self.height, self.width)
+
+    def _trace(self, view_index: int) -> tuple[csr_array, np.ndarray, np.ndarray]:
+        """One view's weights as a (channels, pixels) CSR matrix, with its
+        row sums (channels,) and column sums (height, width).
+
+        Rows are filled straight from the ray-major traversal: a pixel that
+        a ray enters twice (split at its entry or exit point) keeps two
+        entries, which every product sums."""
         geom = self.geom
         beta = np.radians(self.angles_deg[view_index])
         direction = np.array([np.cos(beta), np.sin(beta)])
@@ -155,46 +178,68 @@ class Projector:
         )
         ray_len = np.sqrt(np.sum(vec * vec, axis=1))[:, None]
         weights = (seg * ray_len)[valid]
-        pixels = (iy * self.width + ix)[valid]
-        rays = np.broadcast_to(
-            np.arange(n_chan, dtype=np.int64)[:, None], valid.shape
-        )[valid]
-        counts = np.count_nonzero(valid, axis=1).astype(np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-        starts = np.minimum(starts, max(weights.size - 1, 0))
+        pixels = (iy * self.width + ix)[valid].astype(np.int32)
+        indptr = np.zeros(n_chan + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(np.count_nonzero(valid, axis=1))
+        n_pix = self.width * self.height
+        matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
+        row_sums = matrix @ np.ones(n_pix)
+        col_sums = (matrix.T @ np.ones(n_chan)).reshape(self.height, self.width)
+        return matrix, row_sums, col_sums
 
-        col_sums = np.bincount(
-            pixels, weights=weights, minlength=self.width * self.height
-        ).reshape(self.height, self.width)
-        row_sums = np.bincount(rays, weights=weights, minlength=n_chan)
-        traced = _ViewTrace(weights, pixels, rays, starts, counts, row_sums,
-                            col_sums)
-        if self._cache_enabled:
-            self._views[view_index] = traced
-        return traced
+    def _stored(self, view_index: int) -> tuple[csr_array, np.ndarray, np.ndarray, bool]:
+        """(matrix, row_sums, col_sums, flipped) for one view.
+
+        A flipped view is the mirror image of the returned one: apply it with
+        the channels reversed and the image flipped in X."""
+        self._require_view(view_index)
+        flipped = bool(self._mirrored[view_index])
+        source = len(self.angles_deg) - 1 - view_index if flipped else view_index
+        stored = self._views.get(source)
+        if stored is None:
+            stored = self._trace(source)
+            if self._cache_enabled:
+                self._views[source] = stored
+        return (*stored, flipped)
+
+    @property
+    def mirrored_views(self) -> int:
+        """Views applied through their mirror partner instead of being traced."""
+        return int(np.count_nonzero(self._mirrored))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the cached operator: matrices and their sums."""
+        return sum(
+            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+            + row_sums.nbytes + col_sums.nbytes
+            for matrix, row_sums, col_sums in self._views.values()
+        )
 
     # -- operator ----------------------------------------------------------
 
     def view_sums(self, view_index: int) -> ViewSums:
-        self._require_view(view_index)
-        trace = self._trace(view_index)
-        return ViewSums(trace.row_sums.copy(), trace.col_sums.copy())
+        _, row_sums, col_sums, flipped = self._stored(view_index)
+        if flipped:
+            row_sums, col_sums = row_sums[::-1], col_sums[:, ::-1]
+        return ViewSums(row_sums.copy(), col_sums.copy())
 
     def forward_view(self, values: np.ndarray, view_index: int) -> np.ndarray:
-        self._require_view(view_index)
-        trace = self._trace(view_index)
-        return trace.segment_sums(trace.weights * values.ravel()[trace.pixels])
+        matrix, _, _, flipped = self._stored(view_index)
+        image = self._image(values)
+        if flipped:
+            return (matrix @ image[:, ::-1].ravel())[::-1]
+        return matrix @ image.ravel()
 
     def backproject_view(self, residual: np.ndarray, view_index: int) -> np.ndarray:
-        self._require_view(view_index)
         residual = np.asarray(residual, dtype=np.float64)
         if residual.shape != (self.geom.detector_channels,):
             raise ValueError("residual length must equal detector_channels")
-        trace = self._trace(view_index)
-        return np.bincount(
-            trace.pixels, weights=trace.weights * residual[trace.rays],
-            minlength=self.width * self.height,
-        ).reshape(self.height, self.width)
+        matrix, _, _, flipped = self._stored(view_index)
+        if flipped:
+            back = matrix.T @ residual[::-1]
+            return back.reshape(self.height, self.width)[:, ::-1]
+        return (matrix.T @ residual).reshape(self.height, self.width)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         out = np.empty((len(self.angles_deg), self.geom.detector_channels))
@@ -207,22 +252,21 @@ class Projector:
         """One relaxed SART step for a single view; 0/0 ratios count as 0."""
         if not 0 < relaxation <= 1:
             raise ValueError("relaxation must be in (0, 1]")
-        trace = self._trace(view_index)
-        forward = trace.segment_sums(trace.weights * values.ravel()[trace.pixels])
-        residual = p_view - forward
+        matrix, row_sums, col_sums, flipped = self._stored(view_index)
+        image = self._image(values)
+        if flipped:
+            image, p_view = image[:, ::-1], p_view[::-1]
+        residual = p_view - matrix @ image.ravel()
         scaled = np.divide(
-            residual, trace.row_sums, out=np.zeros_like(residual),
-            where=trace.row_sums > 0,
+            residual, row_sums, out=np.zeros_like(residual), where=row_sums > 0,
         )
-        numerator = np.bincount(
-            trace.pixels, weights=trace.weights * scaled[trace.rays],
-            minlength=self.width * self.height,
-        ).reshape(self.height, self.width)
-        update = np.divide(
-            numerator, trace.col_sums, out=np.zeros_like(numerator),
-            where=trace.col_sums > 0,
-        )
-        return values + relaxation * update
+        # A pixel with a zero column sum has no entries, so its numerator is
+        # already 0 and the in-place division may skip it.
+        update = (matrix.T @ scaled).reshape(self.height, self.width)
+        np.divide(update, col_sums, out=update, where=col_sums > 0)
+        update *= relaxation
+        update += image
+        return update[:, ::-1] if flipped else update
 
 
 # -- free functions over ImageGrid/Sinogram ---------------------------------

@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The desk-scale reconstruction fixtures (criteria 5-7) dominate the runtime
-at roughly 15-25 minutes total; run them with
+The desk-scale reconstruction fixtures (criteria 5-7, marked ``desk``)
+dominate the runtime at roughly 15-25 minutes total; run them with
 
     pytest tests/test_acceptance.py -v -s
+
+and skip them with ``-m "not desk"``.
 """
 
 import numpy as np
@@ -272,22 +274,25 @@ class TestCriterion4Degeneracy:
         projector = Projector(geom, 64, 64, 2.0)
         sino = Sinogram(geom.num_views, geom.detector_channels,
                         geom.view_angles_deg(), projector.forward(truth.data))
-        images = {}
-        for algorithm in ("wtv", "ssatv1", "ssatv2"):
-            cfg = ReconConfig(algorithm=algorithm, geometry=geom, width=64,
-                              height=64, pixel_size=2.0, levels=1, iterations=10)
-            img, _ = run_reconstruction(cfg, sino, projector=projector)
-            images[algorithm] = img.data
-        npt.assert_array_equal(images["wtv"], images["ssatv1"])
-        npt.assert_array_equal(images["wtv"], images["ssatv2"])
+        for eps_hu in (5.0, 20.0):
+            images = {}
+            for algorithm in ("wtv", "ssatv1", "ssatv2"):
+                cfg = ReconConfig(algorithm=algorithm, geometry=geom, width=64,
+                                  height=64, pixel_size=2.0, eps_hu=eps_hu,
+                                  levels=1, iterations=10)
+                img, _ = run_reconstruction(cfg, sino, projector=projector)
+                images[algorithm] = img.data
+            npt.assert_array_equal(images["wtv"], images["ssatv1"])
+            npt.assert_array_equal(images["wtv"], images["ssatv2"])
         ok("wtv = ssatv1(l=1) = ssatv2(s=1, delta kernel) bit for bit, "
-           "64x64, 10 iterations")
+           "64x64, 10 iterations, eps 5 and 20 HU")
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: desk-scale convergence ordering
 # ---------------------------------------------------------------------------
 
+@pytest.mark.desk
 class TestCriterion5Ordering:
     def test_a_ssatv2_l3_beats_wtv_by_ten_percent(self, desk_runs):
         wtv_final = desk_runs["wtv"][-1]
@@ -317,6 +322,7 @@ class TestCriterion5Ordering:
 # criterion 6: noise robustness
 # ---------------------------------------------------------------------------
 
+@pytest.mark.desk
 class TestCriterion6Noise:
     def test_a_ordering_holds_under_poisson(self, noisy_runs):
         wtv_final = noisy_runs["wtv"][0][-1]
@@ -336,6 +342,7 @@ class TestCriterion6Noise:
 # criterion 7: SART sanity
 # ---------------------------------------------------------------------------
 
+@pytest.mark.desk
 class TestCriterion7Sart:
     def test_residual_below_ten_percent(self, desk_scene):
         geom, truth, roi, projector, clean = desk_scene

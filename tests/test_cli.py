@@ -1,3 +1,4 @@
+import logging
 import re
 from pathlib import Path
 
@@ -85,6 +86,10 @@ class TestConfigParsing:
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="grid.width"):
             build_experiment(_load_ini(path, sets=["grid.width=wide"]))
+        with pytest.raises(ConfigError, match="recon.iterations"):
+            build_experiment(_load_ini(path, sets=["recon.iterations=2.7"]))
+        assert build_experiment(_load_ini(path, sets=["recon.iterations=2e1"])
+                                ).recon.iterations == 20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -100,9 +105,13 @@ class TestConfigParsing:
 
 
 class TestRunExperiment:
-    def test_writes_all_artifacts(self, tmp_path):
+    def test_writes_all_artifacts(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="latomo.cli")
         path = write_config(tmp_path)
         out = run_experiment(path)
+        # 10-170 degrees in 8-degree steps: 21 views, 10 mirror pairs
+        assert re.search(r"projector: 11 views stored, 10 mirrored, [0-9.]+ MB",
+                         caplog.text)
         for name in (
             "config_echo.ini",
             "ground_truth.raw",

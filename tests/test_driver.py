@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -92,12 +94,13 @@ class TestRunReconstruction:
 
     def test_degeneracy_chain_bitwise(self, small_scene):
         truth, projector, sino, roi = small_scene
-        images = {}
-        for algorithm in ("wtv", "ssatv1", "ssatv2"):
-            cfg = config(algorithm, iterations=4, levels=1)
-            images[algorithm], _ = run_reconstruction(cfg, sino, projector=projector)
-        npt.assert_array_equal(images["wtv"].data, images["ssatv1"].data)
-        npt.assert_array_equal(images["wtv"].data, images["ssatv2"].data)
+        for eps_hu in (5.0, 20.0):
+            images = {}
+            for algorithm in ("wtv", "ssatv1", "ssatv2"):
+                cfg = config(algorithm, iterations=4, levels=1, eps_hu=eps_hu)
+                images[algorithm], _ = run_reconstruction(cfg, sino, projector=projector)
+            npt.assert_array_equal(images["wtv"].data, images["ssatv1"].data)
+            npt.assert_array_equal(images["wtv"].data, images["ssatv2"].data)
 
     def test_nonnegative_after_every_iteration(self, small_scene):
         truth, projector, sino, roi = small_scene
@@ -146,6 +149,36 @@ class TestRunReconstruction:
         bad = Sinogram(2, GEOM.detector_channels, np.array([0.0, 1.0]),
                        np.zeros((2, GEOM.detector_channels)))
         with pytest.raises(ValueError, match="views"):
+            run_reconstruction(config("sart"), bad, projector=projector)
+
+    def test_mismatched_prebuilt_projector_rejected(self, small_scene):
+        truth, projector, sino, roi = small_scene
+        # a 2 mm projector under a 4 mm config once returned mu up to 1 mm^-1
+        cfg = ReconConfig(algorithm="sart", geometry=GEOM, width=64, height=64,
+                          pixel_size=4.0, iterations=5)
+        with pytest.raises(ValueError, match="pixel_size"):
+            run_reconstruction(cfg, sino, projector=projector)
+        with pytest.raises(ValueError, match="origin"):
+            run_reconstruction(config("sart", origin=(2.0, 0.0)), sino,
+                               projector=projector)
+        for field, geom in (
+            ("detector_channels", replace(GEOM, detector_channels=95)),
+            ("view angles", replace(GEOM, angle_start=12.0, angle_end=172.0)),
+        ):
+            cfg = ReconConfig(algorithm="sart", geometry=geom, width=64, height=64,
+                              pixel_size=2.0, iterations=5)
+            data = Sinogram(geom.num_views, geom.detector_channels,
+                            geom.view_angles_deg(),
+                            np.zeros((geom.num_views, geom.detector_channels)))
+            with pytest.raises(ValueError, match=field):
+                run_reconstruction(cfg, data, projector=projector)
+
+    def test_non_finite_sinogram_rejected(self, small_scene):
+        truth, projector, sino, roi = small_scene
+        data = sino.data.copy()
+        data[3, 40] = np.nan
+        bad = Sinogram(sino.num_views, sino.num_channels, sino.view_angles, data)
+        with pytest.raises(ValueError, match="non-finite"):
             run_reconstruction(config("sart"), bad, projector=projector)
 
     def test_budget_flows_into_schedule(self, small_scene):

@@ -29,6 +29,29 @@ def dense_view_matrix(proj, view_index):
     return np.stack(cols, axis=1)
 
 
+def assert_sart_matches_dense_oracle(proj, view, seed):
+    """One SART step equals its dense-matrix evaluation on a random image."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
+    channels = proj.geom.detector_channels
+    p_view = proj.forward_view(f, view) * rng.uniform(0.9, 1.1, channels)
+    lam = 0.8
+
+    mat = dense_view_matrix(proj, view)
+    row_sums = mat.sum(axis=1)
+    col_sums = mat.sum(axis=0)
+    residual = p_view - mat @ f.ravel()
+    scaled = np.divide(residual, row_sums, out=np.zeros(channels), where=row_sums > 0)
+    numerator = mat.T @ scaled
+    update = np.divide(
+        numerator, col_sums, out=np.zeros_like(numerator), where=col_sums > 0
+    )
+    expected = f.ravel() + lam * update
+
+    got = proj.sart_update_view(f, p_view, view, lam)
+    npt.assert_allclose(got.ravel(), expected, rtol=1e-10, atol=1e-15)
+
+
 def clip_segment_length(src, dst, x0, x1, y0, y1):
     """Independent ray/box intersection length oracle (slab clipping)."""
     direction = dst - src
@@ -171,26 +194,7 @@ class TestSartUpdate:
         assert updated[0, 0] == pytest.approx(mu, rel=1e-12)
 
     def test_matches_dense_oracle(self):
-        proj = small_projector(8, 8, 16.0)
-        rng = np.random.default_rng(16)
-        f = rng.uniform(0.0, 0.04, (8, 8))
-        view = 5
-        p_view = proj.forward_view(f, view) * rng.uniform(0.9, 1.1, 16)
-        lam = 0.8
-
-        mat = dense_view_matrix(proj, view)
-        row_sums = mat.sum(axis=1)
-        col_sums = mat.sum(axis=0)
-        residual = p_view - mat @ f.ravel()
-        scaled = np.divide(residual, row_sums, out=np.zeros(16), where=row_sums > 0)
-        numerator = mat.T @ scaled
-        update = np.divide(
-            numerator, col_sums, out=np.zeros_like(numerator), where=col_sums > 0
-        )
-        expected = f.ravel() + lam * update
-
-        got = proj.sart_update_view(f, p_view, view, lam)
-        npt.assert_allclose(got.ravel(), expected, rtol=1e-10, atol=1e-15)
+        assert_sart_matches_dense_oracle(small_projector(8, 8, 16.0), 5, seed=16)
 
     def test_relaxation_bounds(self):
         proj = small_projector()
@@ -223,9 +227,98 @@ class TestViewSums:
         proj = Projector(SMALL_GEOM, 4, 4, 2.0, origin=(30.0, 0.0))
         sums = proj.view_sums(0)
         assert np.any(sums.row_sums == 0)
-        trace = proj._trace(0)
-        for channel in np.flatnonzero(sums.row_sums == 0):
-            assert not np.any(trace.rays == channel)
+        matrix, _, _, flipped = proj._stored(0)
+        assert not flipped
+        entries_per_ray = np.diff(matrix.indptr)
+        npt.assert_array_equal(entries_per_ray == 0, sums.row_sums == 0)
+
+
+DEGENERACY_GEOM = FanBeamGeometry(400.0, 200.0, 96, 1.6, 10.0, 170.0, 4.0)
+
+# (geometry, width, height, pixel size): the two symmetric scans
+MIRRORED_SCANS = {
+    "small-0-180": (SMALL_GEOM, 32, 32, 4.0),
+    "degeneracy-64": (DEGENERACY_GEOM, 64, 64, 2.0),
+}
+
+
+def traced_dense(proj, view_index):
+    """A view's matrix traced afresh, never through its mirror partner."""
+    matrix, _, _ = proj._trace(view_index)
+    return matrix.toarray()
+
+
+class TestMirrorSharing:
+    @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
+    def test_mirrored_views_equal_fresh_traces(self, scan):
+        geom, width, height, pixel = MIRRORED_SCANS[scan]
+        proj = Projector(geom, width, height, pixel)
+        views = geom.num_views
+        assert proj.mirrored_views == views // 2
+        rng = np.random.default_rng(18)
+        for view in range(views // 2 + views % 2, views):
+            assert proj._stored(view)[3]
+            fresh = traced_dense(proj, view)
+            tol = 1e-9 * fresh.max()
+            # row c of the applied operator is its back-projection of e_c
+            applied = np.stack([
+                proj.backproject_view(np.eye(geom.detector_channels)[c], view).ravel()
+                for c in range(geom.detector_channels)
+            ])
+            npt.assert_allclose(applied, fresh, rtol=0, atol=tol)
+            f = rng.uniform(0.0, 0.04, (height, width))
+            npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
+                                rtol=1e-9, atol=tol)
+            sums = proj.view_sums(view)
+            npt.assert_allclose(sums.row_sums, fresh.sum(axis=1), rtol=0,
+                                atol=tol * width)
+            npt.assert_allclose(sums.col_sums.ravel(), fresh.sum(axis=0), rtol=0,
+                                atol=tol * geom.detector_channels)
+
+    def test_adjoint_identity_on_mirrored_views(self):
+        proj = small_projector()
+        rng = np.random.default_rng(19)
+        for view in range(8, SMALL_GEOM.num_views):
+            f = rng.standard_normal((32, 32))
+            q = rng.standard_normal(16)
+            af = proj.forward_view(f, view)
+            atq = proj.backproject_view(q, view)
+            gap = abs(float(af @ q) - float((f * atq).sum()))
+            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
+
+    def test_mirrored_sart_matches_dense_oracle(self):
+        proj = small_projector(8, 8, 16.0)
+        assert proj._stored(10)[3]
+        assert_sart_matches_dense_oracle(proj, 10, seed=20)
+
+    @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
+    def test_symmetric_scan_stores_half_the_views(self, scan):
+        geom, width, height, pixel = MIRRORED_SCANS[scan]
+        proj = Projector(geom, width, height, pixel)
+        assert proj.nbytes == 0
+        proj.forward(np.ones((height, width)))
+        assert len(proj._views) == -(-geom.num_views // 2)
+        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                     + r.nbytes + c.nbytes for m, r, c in proj._views.values())
+        assert proj.nbytes == stored
+
+    @pytest.mark.parametrize("geom, origin", [
+        (SMALL_GEOM, (30.0, 0.0)),
+        (FanBeamGeometry(400.0, 200.0, 16, 8.0, 0.0, 170.0, 10.0), (0.0, 0.0)),
+    ], ids=["off-center", "0-170"])
+    def test_asymmetric_scans_store_every_view(self, geom, origin):
+        proj = Projector(geom, 8, 8, 16.0, origin=origin)
+        assert proj.mirrored_views == 0
+        proj.forward(np.ones((8, 8)))
+        assert len(proj._views) == geom.num_views
+        for view in (0, geom.num_views - 2, geom.num_views - 1):
+            assert not proj._stored(view)[3]
+            assert_sart_matches_dense_oracle(proj, view, seed=21 + view)
+
+    def test_uncached_projector_stores_nothing(self):
+        proj = Projector(SMALL_GEOM, 32, 32, 4.0, cache=False)
+        proj.forward(np.ones((32, 32)))
+        assert proj.nbytes == 0
 
 
 class TestFreeFunctions:
