@@ -1,77 +1,15 @@
 """latomo: limited-angle fan-beam CT reconstruction with SART and
 weighted / scale-space anisotropic TV regularization."""
 
-from .core import (
-    FanBeamGeometry,
-    ImageGrid,
-    RoiRect,
-    Sinogram,
-    hu_to_mu,
-    mu_to_hu,
-    read_raw,
-    read_raw_image,
-    roi_rmse,
-    write_pgm16,
-    write_raw,
-    write_raw_image,
-    write_raw_sinogram,
-)
-from .driver import (
-    ConvergenceLog,
-    ReconConfig,
-    ScaleSchedule,
-    make_scale_schedule,
-    run_reconstruction,
-)
+from .core import FanBeamGeometry, Sinogram
+from .driver import ReconConfig, run_reconstruction
 from .phantom import (
-    Bar,
-    Ellipse,
     NoiseSpec,
-    PhantomSpec,
     add_poisson_noise,
     builtin_head_phantom,
-    load_phantom_spec,
     rasterize,
     roi_rect_for_grid,
-    save_phantom_spec,
 )
-from .projector import (
-    Projector,
-    ViewSums,
-    apply_nonnegativity,
-    back_project,
-    forward_project,
-    sart_view_update,
-)
-from .ssatv1 import (
-    DerivKernel,
-    LowPassKernel,
-    anisotropic_grad,
-    anisotropic_weights,
-    binomial_kernel,
-    derivative_kernel,
-    ssatv1_gradient,
-    ssatv1_regularize,
-)
-from .ssatv2 import (
-    PyramidLevel,
-    delta_kernel,
-    downsample_y,
-    make_pyramid_level,
-    ssatv2_substep,
-    upsample_adjoint_y,
-)
-from .tv import (
-    DEFAULT_DELTA_MU,
-    GradField,
-    LineSearchParams,
-    backtracking_line_search,
-    grad,
-    normalize_direction,
-    update_weights,
-    wtv_gradient,
-    wtv_regularize,
-    wtv_value,
-)
+from .projector import Projector
 
 __version__ = "0.1.0"

@@ -21,12 +21,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import (
     MU_PER_HU,
     FanBeamGeometry,
-    ImageGrid,
     RoiRect,
     Sinogram,
     write_pgm16,
@@ -35,7 +32,7 @@ from .core import (
     write_raw_image,
     write_raw_sinogram,
 )
-from .driver import ReconConfig, run_reconstruction
+from .driver import ReconConfig, check_projector, run_reconstruction
 from .phantom import (
     NoiseSpec,
     add_poisson_noise,
@@ -216,12 +213,13 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from None
 
+    seed = _get_int(cp, "noise", "seed")
     photons_raw = cp.get("noise", "photons").strip().lower()
     if photons_raw in ("none", "off", ""):
         noise = None
     else:
         try:
-            noise = NoiseSpec(float(photons_raw), _get_int(cp, "noise", "seed"))
+            noise = NoiseSpec(float(photons_raw), seed)
         except ValueError as exc:
             raise ConfigError(f"noise.photons: {exc}") from None
 
@@ -254,10 +252,7 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
             budgets=budgets,
             line_search=line_search,
             iterations=_get_int(cp, "recon", "iterations"),
-            seed=_get_int(cp, "noise", "seed"),
         )
-        if recon.algorithm in ("ssatv1", "ssatv2"):
-            recon.schedule()  # validates levels/budgets against recon.steps
     except ValueError as exc:
         raise ConfigError(f"recon: {exc}") from None
 
@@ -324,6 +319,8 @@ def run_experiment(config_path, sets=(), desk=False,
     cfg = build_experiment(_load_ini(config_path, sets, desk))
     spec = _load_phantom(cfg)
     roi = _resolve_roi(cfg, spec)
+    if projector is not None:
+        check_projector(projector, cfg.recon)
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ display/metric convention converted at the boundaries.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +185,6 @@ def roi_rmse(img: ImageGrid, reference: ImageGrid, roi: RoiRect | None = None) -
     ys, xs = roi.slices()
     diff_hu = (img.data[ys, xs] - reference.data[ys, xs]) / MU_PER_HU
     return float(np.sqrt(np.mean(diff_hu * diff_hu)))
-
-
-def rmse_hu(a: np.ndarray, b: np.ndarray) -> float:
-    """RMSE in HU between two attenuation arrays of equal shape."""
-    d = (np.asarray(a) - np.asarray(b)) / MU_PER_HU
-    return float(np.sqrt(np.mean(d * d)))
 
 
 # ---------------------------------------------------------------------------

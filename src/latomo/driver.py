@@ -106,7 +106,6 @@ class ReconConfig:
     budgets: tuple[int, ...] | None = None
     line_search: LineSearchParams = field(default_factory=LineSearchParams)
     iterations: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -117,6 +116,10 @@ class ReconConfig:
             raise ValueError("eps_hu must be > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.algorithm != "sart" and self.tv_steps < 1:
+            raise ValueError(f"tv_steps must be >= 1 for {self.algorithm}")
+        if self.algorithm in ("ssatv1", "ssatv2"):
+            self.schedule()
 
     def schedule(self) -> ScaleSchedule:
         return make_scale_schedule(self.levels, self.tv_steps, self.budgets)
@@ -171,7 +174,7 @@ def _check_sinogram(geom: FanBeamGeometry, sino: Sinogram):
             f"sinogram has {sino.num_channels} channels, geometry expects "
             f"{geom.detector_channels}"
         )
-    if not np.allclose(sino.view_angles, geom.view_angles_deg(), atol=1e-9):
+    if not np.allclose(sino.view_angles, geom.view_angles_deg(), rtol=0.0, atol=1e-9):
         raise ValueError("sinogram view angles do not match the geometry")
     if not np.all(np.isfinite(sino.data)):
         raise ValueError("sinogram has non-finite values")
@@ -201,6 +204,15 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarra
     return f, tuple(sizes_all)
 
 
+def check_projector(projector: Projector, config: ReconConfig):
+    """Rejects a prebuilt projector that differs from ``config``'s grid or
+    scan geometry, naming the first field that differs."""
+    field = projector.mismatch(config.width, config.height, config.pixel_size,
+                               config.origin, config.geometry)
+    if field is not None:
+        raise ValueError(f"prebuilt projector {field} does not match the configuration")
+
+
 def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
                        reference: ImageGrid | None = None,
                        roi: RoiRect | None = None,
@@ -219,10 +231,7 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
         projector = Projector(geom, config.width, config.height,
                               config.pixel_size, config.origin)
     else:
-        field = projector.mismatch(config.width, config.height, config.pixel_size,
-                                   config.origin, geom)
-        if field is not None:
-            raise ValueError(f"prebuilt projector {field} does not match the configuration")
+        check_projector(projector, config)
     if reference is not None and roi is not None:
         roi.validate_for(config.width, config.height)
 

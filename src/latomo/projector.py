@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import FanBeamGeometry, ImageGrid, Sinogram
+from .core import FanBeamGeometry, ImageGrid
 
 log = logging.getLogger(__name__)
 
@@ -46,13 +46,12 @@ class ViewSums:
 class Projector:
     """Fan-beam system operator bound to one geometry and one image lattice.
 
-    Traced view matrices are cached by default; for an experiment-size grid
-    the cache holds a few hundred MB (see ``nbytes``) and removes per-sweep
-    retracing cost.
+    Each view is traced on first use and kept; for an experiment-size grid
+    the cache holds a few hundred MB (see ``nbytes``).
     """
 
     def __init__(self, geom: FanBeamGeometry, width: int, height: int,
-                 pixel_size: float, origin=(0.0, 0.0), cache: bool = True):
+                 pixel_size: float, origin=(0.0, 0.0)):
         if geom.source_to_detector <= 0 or geom.source_to_isocenter <= 0:
             raise ValueError("degenerate geometry")
         self.geom = geom
@@ -63,7 +62,6 @@ class Projector:
         self.x_lo = -self.width * self.pixel_size / 2.0 + self.origin[0]
         self.y_lo = -self.height * self.pixel_size / 2.0 + self.origin[1]
         self.angles_deg = geom.view_angles_deg()
-        self._cache_enabled = cache
         self._views: dict[int, tuple[csr_array, np.ndarray, np.ndarray]] = {}
         views = np.arange(len(self.angles_deg))
         pair_sums = self.angles_deg + self.angles_deg[::-1]
@@ -197,9 +195,7 @@ class Projector:
         source = len(self.angles_deg) - 1 - view_index if flipped else view_index
         stored = self._views.get(source)
         if stored is None:
-            stored = self._trace(source)
-            if self._cache_enabled:
-                self._views[source] = stored
+            stored = self._views[source] = self._trace(source)
         return (*stored, flipped)
 
     @property
@@ -268,34 +264,3 @@ class Projector:
         update += image
         return update[:, ::-1] if flipped else update
 
-
-# -- free functions over ImageGrid/Sinogram ---------------------------------
-
-def _projector_for(img: ImageGrid, geom: FanBeamGeometry) -> Projector:
-    return Projector(geom, img.width, img.height, img.pixel_size, img.origin,
-                     cache=False)
-
-
-def forward_project(img: ImageGrid, geom: FanBeamGeometry) -> Sinogram:
-    """Discrete line integrals of ``img`` for every view of the trajectory."""
-    proj = _projector_for(img, geom)
-    data = proj.forward(img.data)
-    return Sinogram(geom.num_views, geom.detector_channels, geom.view_angles_deg(), data)
-
-
-def back_project(residual: np.ndarray, geom: FanBeamGeometry, view_index: int,
-                 img_like: ImageGrid) -> ImageGrid:
-    """Transpose of the single-view forward operator applied to ``residual``."""
-    proj = _projector_for(img_like, geom)
-    return img_like.with_data(proj.backproject_view(residual, view_index))
-
-
-def sart_view_update(f: ImageGrid, p: Sinogram, geom: FanBeamGeometry,
-                     view_index: int, relaxation: float) -> ImageGrid:
-    proj = _projector_for(f, geom)
-    return f.with_data(proj.sart_update_view(f.data, p.data[view_index], view_index,
-                                             relaxation))
-
-
-def apply_nonnegativity(f: ImageGrid) -> ImageGrid:
-    return f.with_data(np.maximum(f.data, 0.0))

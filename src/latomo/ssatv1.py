@@ -14,18 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MU_PER_HU
-from .tv import (
-    DEFAULT_DELTA_MU,
-    GradField,
-    LineSearchParams,
-    RowOperator,
-    _dx,
-    descent_steps,
-    row_operator,
-    tv_gradient,
-    tv_value,
-    tv_weights,
-)
+from .tv import LineSearchParams, RowOperator, descent_steps, row_operator, tv_weights
 
 
 @dataclass(frozen=True)
@@ -102,43 +91,10 @@ def derivative_kernel(s: int) -> DerivKernel:
     return DerivKernel(tuple(taps), s, s)
 
 
-def _y_operator(kernel: DerivKernel, height: int) -> RowOperator:
+def y_operator(kernel: DerivKernel, height: int) -> RowOperator:
+    """The Y operator of ``kernel`` on a grid of ``height`` rows, with
+    edge-clamped taps."""
     return row_operator(kernel.taps_array(), kernel.anchor, height)
-
-
-def anisotropic_grad(f: np.ndarray, kernel: DerivKernel) -> GradField:
-    """X component as in :func:`latomo.tv.grad`; Y component filtered with
-    ``kernel`` (edge-clamped taps)."""
-    f = np.asarray(f, dtype=np.float64)
-    return GradField(_dx(f), _y_operator(kernel, f.shape[0]).apply(f))
-
-
-def anisotropic_value(f: np.ndarray, w: np.ndarray, kernel: DerivKernel,
-                      delta_mu: float = 0.0) -> float:
-    return tv_value(np.asarray(f, dtype=np.float64), w,
-                    _y_operator(kernel, f.shape[0]), delta_mu)
-
-
-def anisotropic_weights(f: np.ndarray, eps_hu: float, kernel: DerivKernel) -> np.ndarray:
-    if not eps_hu > 0:
-        raise ValueError("eps must be > 0")
-    f = np.asarray(f, dtype=np.float64)
-    return tv_weights(f, MU_PER_HU * eps_hu, _y_operator(kernel, f.shape[0]))
-
-
-def ssatv1_gradient(f: np.ndarray, w: np.ndarray, kernel: DerivKernel,
-                    delta_mu: float = DEFAULT_DELTA_MU) -> np.ndarray:
-    """Gradient of the anisotropic weighted TV value with frozen weights."""
-    f = np.asarray(f, dtype=np.float64)
-    if w.shape != f.shape:
-        raise ValueError("weight field shape mismatch")
-    return tv_gradient(f, w, _y_operator(kernel, f.shape[0]), delta_mu)
-
-
-def ssatv1_regularize(f: np.ndarray, eps_hu: float, s: int, steps: int,
-                      params: LineSearchParams) -> np.ndarray:
-    out, _ = ssatv1_pass(f, eps_hu, s, steps, params)
-    return out
 
 
 def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
@@ -148,7 +104,6 @@ def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
-    kernel = derivative_kernel(s)
-    yop = _y_operator(kernel, f.shape[0])
+    yop = y_operator(derivative_kernel(s), f.shape[0])
     w = tv_weights(f, MU_PER_HU * eps_hu, yop)
-    return descent_steps(f, w, yop, steps, params, delta_mu=MU_PER_HU * eps_hu)
+    return descent_steps(f, w, yop, steps, params, MU_PER_HU * eps_hu)

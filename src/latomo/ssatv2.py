@@ -4,31 +4,20 @@ The image is low-pass filtered and sub-sampled along Y only, a weighted-TV
 descent direction is found on the coarse grid, and the step is pulled back
 to the fine grid through the exact adjoint of the sampler.  The sampler pair
 is realized as one sparse matrix and its transpose, so the adjoint identity
-holds to rounding error including the clamped-boundary bookkeeping.
+holds to rounding error including the clamped-boundary bookkeeping.  The
+descent is :func:`latomo.tv.descent_steps` given that pair.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .core import MU_PER_HU
 from .ssatv1 import LowPassKernel, binomial_kernel
-from .tv import (
-    LineSearchParams,
-    backtracking_line_search,
-    forward_diff_op,
-    normalize_direction,
-    row_operator,
-    tv_gradient,
-    tv_value,
-    tv_weights,
-)
-
-log = logging.getLogger(__name__)
+from .tv import LineSearchParams, descent_steps, forward_diff_op, row_operator, tv_weights
 
 
 def delta_kernel() -> LowPassKernel:
@@ -77,10 +66,10 @@ def upsample_adjoint_y(g_d: np.ndarray, s: int, lowpass: LowPassKernel,
     return up @ g_d
 
 
-@dataclass
+@dataclass(frozen=True)
 class PyramidLevel:
     """One anisotropic scale: its sampler kernel and the coarse-grid weights,
-    which the substep refreshes after its descent loop."""
+    frozen for the pass at that scale."""
 
     scale: int
     lowpass: LowPassKernel
@@ -94,28 +83,19 @@ class PyramidLevel:
             raise ValueError("weights do not match the down-sampled grid")
 
 
-def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float,
-                       lowpass: LowPassKernel | None = None) -> PyramidLevel:
+def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
     """Level with weights taken from the down-sampled current image."""
     f = np.asarray(f, dtype=np.float64)
-    if lowpass is None:
-        lowpass = delta_kernel() if s == 1 else binomial_kernel(s)
+    lowpass = delta_kernel() if s == 1 else binomial_kernel(s)
     h_d = down_height(f.shape[0], s)
     f_d = downsample_y(f, s, lowpass)
     w_d = tv_weights(f_d, MU_PER_HU * eps_hu, forward_diff_op(h_d))
     return PyramidLevel(s, lowpass, h_d, w_d)
 
 
-def ssatv2_substep(f: np.ndarray, level: PyramidLevel, eps_hu: float,
-                   steps: int, params: LineSearchParams) -> np.ndarray:
-    out, _ = ssatv2_pass(f, level, eps_hu, steps, params)
-    return out
-
-
 def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
                 params: LineSearchParams) -> tuple[np.ndarray, list[float]]:
-    """``steps`` coarse-grid descent iterations pulled back to the fine grid;
-    afterwards the level's weights are recomputed from the updated image.
+    """``steps`` coarse-grid descent iterations pulled back to the fine grid.
 
     Each iteration: down-sample, take the weighted-TV gradient with the
     level's frozen weights, find the step on the coarse image, then update
@@ -124,32 +104,6 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
-    height = f.shape[0]
-    down, up = _sampler(height, level.scale, level.lowpass)
-    yop = forward_diff_op(level.down_height)
-    w_d = level.weights
-    delta_mu = MU_PER_HU * eps_hu
-    objective = lambda arr: tv_value(arr, w_d, yop)
-    accepted: list[float] = []
-    for _ in range(steps):
-        f_d = down @ f
-        g_d = tv_gradient(f_d, w_d, yop, delta_mu)
-        ghat, converged = normalize_direction(g_d)
-        if converged:
-            break
-        t = backtracking_line_search(f_d, g_d, ghat, objective, params)
-        if t == 0.0:
-            break
-        f = f - t * (up @ ghat)
-        accepted.append(t)
-        if log.isEnabledFor(logging.DEBUG):
-            # fine-grid update re-sampled; small excess possible by design
-            predicted = objective(f_d - t * ghat)
-            realized = objective(down @ f)
-            if realized > predicted:
-                log.debug(
-                    "coarse objective rose after pull-back: %.6g > %.6g",
-                    realized, predicted,
-                )
-    level.weights = tv_weights(down @ f, MU_PER_HU * eps_hu, yop)
-    return f, accepted
+    sampler = _sampler(f.shape[0], level.scale, level.lowpass)
+    return descent_steps(f, level.weights, forward_diff_op(level.down_height),
+                         steps, params, MU_PER_HU * eps_hu, sampler=sampler)

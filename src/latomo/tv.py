@@ -10,6 +10,7 @@ transpose, so finite-difference checks agree to rounding error.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -18,13 +19,9 @@ import scipy.sparse as sp
 
 from .core import MU_PER_HU
 
-# Default smoothing floor (mm^-1) for gradient-magnitude denominators, equal
-# to the default reweighting floor (5 HU).  Gradient magnitudes below the
-# floor count as flat: their descent contribution fades out instead of
-# flipping sign at the kink, which keeps backtracking steps usable.  A much
-# smaller floor makes the direction a raw subgradient and stalls the descent
-# orders of magnitude below any useful step size.
-DEFAULT_DELTA_MU = 1e-4
+# The pull-back check of a sampled descent reports on the ssatv2 logger, the
+# variant that samples.
+_pullback_log = logging.getLogger("latomo.ssatv2")
 
 
 class GradField(NamedTuple):
@@ -51,6 +48,8 @@ class LineSearchParams:
             raise ValueError("beta must be in (0, 1)")
         if not self.t0 > 0:
             raise ValueError("t0 must be > 0")
+        if self.max_shrinks < 0:
+            raise ValueError("max_shrinks must be >= 0")
 
 
 class RowOperator:
@@ -127,7 +126,7 @@ def tv_weights(f: np.ndarray, eps_mu: float, yop: RowOperator) -> np.ndarray:
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
-                delta_mu: float = DEFAULT_DELTA_MU) -> np.ndarray:
+                delta_mu: float) -> np.ndarray:
     """Exact gradient of the ``delta_mu``-smoothed weighted TV value."""
     gx = _dx(f)
     gy = yop.apply(f)
@@ -141,34 +140,47 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
 
 
 def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
-                  params: LineSearchParams,
-                  delta_mu: float = DEFAULT_DELTA_MU) -> tuple[np.ndarray, list[float]]:
+                  params: LineSearchParams, delta_mu: float,
+                  sampler=None) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
-    TV value.  Returns the image and the accepted step sizes."""
+    TV value.  Returns the image and the accepted step sizes.
+
+    ``delta_mu`` (mm^-1) is the smoothing floor of the gradient-magnitude
+    denominators; callers tie it to the reweighting floor.  Magnitudes below
+    it count as flat, so their descent contribution fades out instead of
+    flipping sign at the kink, which keeps backtracking steps usable; a much
+    smaller floor makes the direction a raw subgradient and stalls the
+    descent orders of magnitude below any useful step size.
+
+    With ``sampler = (down, up)`` the value, weights and search live on the
+    grid of ``down @ f`` and each step is taken along ``up @ ghat`` on the
+    grid of ``f``.
+    """
+    down, up = sampler if sampler is not None else (None, None)
     objective = lambda arr: tv_value(arr, w, yop)
     accepted: list[float] = []
     for _ in range(steps):
-        g = tv_gradient(f, w, yop, delta_mu)
+        f_s = f if down is None else down @ f
+        g = tv_gradient(f_s, w, yop, delta_mu)
         ghat, converged = normalize_direction(g)
         if converged:
             break
-        t = backtracking_line_search(f, g, ghat, objective, params)
+        t = backtracking_line_search(f_s, g, ghat, objective, params)
         if t == 0.0:
             break
-        f = f - t * ghat
+        f = f - t * (ghat if up is None else up @ ghat)
         accepted.append(t)
+        if down is not None and _pullback_log.isEnabledFor(logging.DEBUG):
+            # fine-grid update re-sampled; small excess possible by design
+            predicted = objective(f_s - t * ghat)
+            realized = objective(down @ f)
+            if realized > predicted:
+                _pullback_log.debug(
+                    "coarse objective rose after pull-back: %.6g > %.6g",
+                    realized, predicted,
+                )
     return f, accepted
-
-
-# -- public weighted-TV surface (isotropic operator) -------------------------
-
-def wtv_value(f: np.ndarray, w: np.ndarray, delta_mu: float = 0.0) -> float:
-    """Weighted TV: sum of w * ||gradient|| over all pixels."""
-    f = np.asarray(f, dtype=np.float64)
-    if w.shape != f.shape:
-        raise ValueError("weight field shape mismatch")
-    return tv_value(f, w, forward_diff_op(f.shape[0]), delta_mu)
 
 
 def update_weights(f: np.ndarray, eps_hu: float) -> np.ndarray:
@@ -177,14 +189,6 @@ def update_weights(f: np.ndarray, eps_hu: float) -> np.ndarray:
         raise ValueError("eps must be > 0")
     f = np.asarray(f, dtype=np.float64)
     return tv_weights(f, MU_PER_HU * eps_hu, forward_diff_op(f.shape[0]))
-
-
-def wtv_gradient(f: np.ndarray, w: np.ndarray,
-                 delta_mu: float = DEFAULT_DELTA_MU) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if w.shape != f.shape:
-        raise ValueError("weight field shape mismatch")
-    return tv_gradient(f, w, forward_diff_op(f.shape[0]), delta_mu)
 
 
 def normalize_direction(g: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -208,17 +212,3 @@ def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,
             return t
         t *= params.beta
     return 0.0
-
-
-def wtv_regularize(f: np.ndarray, eps_hu: float, steps: int,
-                   params: LineSearchParams) -> np.ndarray:
-    """One reweighting pass: freeze w from ``f``, then ``steps`` descent
-    iterations of the weighted TV value.  The gradient smoothing floor is
-    tied to the reweighting floor ``eps_hu``."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    f = np.asarray(f, dtype=np.float64)
-    w = update_weights(f, eps_hu)
-    out, _ = descent_steps(f, w, forward_diff_op(f.shape[0]), steps, params,
-                           delta_mu=MU_PER_HU * eps_hu)
-    return out

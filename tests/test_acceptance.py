@@ -22,28 +22,17 @@ from latomo.phantom import (
     roi_rect_for_grid,
 )
 from latomo.projector import Projector
-from latomo.ssatv1 import (
-    anisotropic_value,
-    anisotropic_weights,
-    binomial_kernel,
-    derivative_kernel,
-    ssatv1_gradient,
-)
+from latomo.ssatv1 import binomial_kernel, derivative_kernel, y_operator
 from latomo.ssatv2 import delta_kernel, down_height, downsample_y, upsample_adjoint_y
-from latomo.tv import (
-    DEFAULT_DELTA_MU,
-    forward_diff_op,
-    tv_gradient,
-    update_weights,
-    wtv_gradient,
-    wtv_value,
-)
+from latomo.tv import forward_diff_op, tv_gradient, tv_value, tv_weights, update_weights
 
 DESK_SIZE = 256
 DESK_PIXEL = 1.0
 DESK_ITERATIONS = 200
 NOISE_PHOTONS = 5e6
 NOISE_SEED = 42
+# gradient smoothing floor tied to the default 5 HU reweighting floor
+DELTA_MU = MU_PER_HU * 5.0
 
 
 def ok(message):
@@ -133,8 +122,9 @@ class TestCriterion2Gradients:
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
             w = update_weights(f, 5.0)
-            g = wtv_gradient(f, w, DEFAULT_DELTA_MU)
-            fd = central_fd(lambda arr: wtv_value(arr, w, DEFAULT_DELTA_MU), f)
+            yop = forward_diff_op(8)
+            g = tv_gradient(f, w, yop, DELTA_MU)
+            fd = central_fd(lambda arr: tv_value(arr, w, yop, DELTA_MU), f)
             worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(fd))
         assert worst < 1e-4
         ok(f"wtv gradient vs finite differences, worst rel L2 {worst:.2e} < 1e-4")
@@ -142,15 +132,13 @@ class TestCriterion2Gradients:
     @pytest.mark.parametrize("s", (2, 4))
     def test_ssatv1_gradient(self, s):
         rng = np.random.default_rng(202 + s)
-        kernel = derivative_kernel(s)
+        yop = y_operator(derivative_kernel(s), 8)
         worst = 0.0
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
-            w = anisotropic_weights(f, 5.0, kernel)
-            g = ssatv1_gradient(f, w, kernel, DEFAULT_DELTA_MU)
-            fd = central_fd(
-                lambda arr: anisotropic_value(arr, w, kernel, DEFAULT_DELTA_MU), f
-            )
+            w = tv_weights(f, MU_PER_HU * 5.0, yop)
+            g = tv_gradient(f, w, yop, DELTA_MU)
+            fd = central_fd(lambda arr: tv_value(arr, w, yop, DELTA_MU), f)
             worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(fd))
         assert worst < 1e-4
         ok(f"scale-{s} anisotropic gradient vs finite differences, "
@@ -167,11 +155,10 @@ class TestCriterion2Gradients:
             w_d = update_weights(f_d, 5.0)
             yop = forward_diff_op(f_d.shape[0])
             composite = upsample_adjoint_y(
-                tv_gradient(f_d, w_d, yop, DEFAULT_DELTA_MU), s, lowpass, 8
+                tv_gradient(f_d, w_d, yop, DELTA_MU), s, lowpass, 8
             )
             fd = central_fd(
-                lambda arr: wtv_value(downsample_y(arr, s, lowpass), w_d,
-                                      DEFAULT_DELTA_MU),
+                lambda arr: tv_value(downsample_y(arr, s, lowpass), w_d, yop, DELTA_MU),
                 f,
             )
             worst = max(worst, np.linalg.norm(composite - fd) / np.linalg.norm(fd))

@@ -14,6 +14,7 @@ from latomo.cli import (
     run_experiment,
     _load_ini,
 )
+from latomo.projector import Projector
 
 TINY = """\
 [grid]
@@ -82,12 +83,24 @@ class TestConfigParsing:
                 "recon.budgets=3 3 3",  # sums to 9, steps is 10
             ]))
 
+    def test_step_budget_errors_name_field(self, tmp_path):
+        path = write_config(tmp_path)
+        for sets, field in (
+            (["recon.steps=0"], "tv_steps"),
+            (["recon.steps=-3"], "tv_steps"),
+            (["recon.max_shrinks=-1"], "max_shrinks"),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                build_experiment(_load_ini(path, sets=sets))
+
     def test_non_numeric_value_names_field(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="grid.width"):
             build_experiment(_load_ini(path, sets=["grid.width=wide"]))
         with pytest.raises(ConfigError, match="recon.iterations"):
             build_experiment(_load_ini(path, sets=["recon.iterations=2.7"]))
+        with pytest.raises(ConfigError, match="noise.seed"):  # even without noise
+            build_experiment(_load_ini(path, sets=["noise.seed=abc"]))
         assert build_experiment(_load_ini(path, sets=["recon.iterations=2e1"])
                                 ).recon.iterations == 20
 
@@ -125,6 +138,15 @@ class TestRunExperiment:
         ):
             assert (out / name).exists(), name
         assert not (out / "sinogram_noisy.raw").exists()
+
+    def test_mismatched_projector_rejected_before_any_write(self, tmp_path):
+        path = write_config(tmp_path)
+        geometry = build_experiment(_load_ini(path)).geometry
+        projector = Projector(geometry, 48, 48, 2.0)  # the config says 4 mm
+        with pytest.raises(ValueError, match="pixel_size"):
+            run_experiment(path, projector=projector)
+        assert not (tmp_path / "out").exists()
+        assert projector.nbytes == 0
 
     def test_noise_artifact_and_clean_reproducibility(self, tmp_path):
         path = write_config(tmp_path)

@@ -82,6 +82,22 @@ class TestReconConfig:
         with pytest.raises(ValueError):
             config("wtv", eps_hu=0.0)
 
+    @pytest.mark.parametrize("algorithm", ["wtv", "ssatv1", "ssatv2"])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_tv_steps_checked(self, algorithm, steps):
+        # a zero or negative budget used to run wtv as plain SART
+        with pytest.raises(ValueError, match="tv_steps"):
+            config(algorithm, tv_steps=steps)
+        assert config("sart", tv_steps=steps).tv_steps == steps
+
+    def test_schedule_checked_at_construction(self):
+        with pytest.raises(ValueError, match="budgets"):
+            config("ssatv1", levels=3, budgets=(5, 5))
+        with pytest.raises(ValueError, match="budgets"):
+            config("ssatv2", levels=2, tv_steps=9)
+        with pytest.raises(ValueError, match="l_max"):
+            config("ssatv2", levels=6)
+
 
 class TestRunReconstruction:
     def test_deterministic(self, small_scene):
@@ -150,6 +166,11 @@ class TestRunReconstruction:
                        np.zeros((2, GEOM.detector_channels)))
         with pytest.raises(ValueError, match="views"):
             run_reconstruction(config("sart"), bad, projector=projector)
+        # 1e-4 degrees is inside allclose's default rtol at 170 degrees
+        shifted = Sinogram(sino.num_views, sino.num_channels, sino.view_angles + 1e-4,
+                           sino.data)
+        with pytest.raises(ValueError, match="view angles"):
+            run_reconstruction(config("sart"), shifted, projector=projector)
 
     def test_mismatched_prebuilt_projector_rejected(self, small_scene):
         truth, projector, sino, roi = small_scene

@@ -6,21 +6,41 @@ from latomo.core import MU_PER_HU
 from latomo.ssatv1 import (
     DerivKernel,
     LowPassKernel,
-    anisotropic_grad,
-    anisotropic_value,
-    anisotropic_weights,
     binomial_kernel,
     derivative_kernel,
-    ssatv1_gradient,
-    ssatv1_regularize,
+    ssatv1_pass,
+    y_operator,
 )
 from latomo.tv import (
-    DEFAULT_DELTA_MU,
     LineSearchParams,
+    descent_steps,
+    forward_diff_op,
+    grad,
+    tv_gradient,
+    tv_value,
+    tv_weights,
     update_weights,
-    wtv_gradient,
-    wtv_regularize,
 )
+
+# smoothing floor tied to the default 5 HU reweighting floor, as in the driver
+DELTA_MU = MU_PER_HU * 5.0
+
+
+def yop(f, kernel):
+    return y_operator(kernel, f.shape[0])
+
+
+def aniso_value(f, w, kernel, delta_mu=0.0):
+    return tv_value(f, w, yop(f, kernel), delta_mu)
+
+
+def aniso_weights(f, kernel):
+    return tv_weights(f, MU_PER_HU * 5.0, yop(f, kernel))
+
+
+def aniso_gradient(f, w, kernel, delta_mu=DELTA_MU):
+    return tv_gradient(f, w, yop(f, kernel), delta_mu)
+
 
 SCALES = (1, 2, 4, 8, 16)
 
@@ -116,10 +136,11 @@ def oracle_correlation(f, kernel):
 
 
 class TestAnisotropicGrad:
+    """The scale-s Y operator; X derivatives are those of :func:`grad`."""
+
     def test_constant_image_is_zero(self):
-        g = anisotropic_grad(np.full((8, 8), 1.5), derivative_kernel(2))
-        npt.assert_allclose(g.x, 0.0, atol=1e-15)
-        npt.assert_allclose(g.y, 0.0, atol=1e-15)
+        f = np.full((8, 8), 1.5)
+        npt.assert_allclose(yop(f, derivative_kernel(2)).apply(f), 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("s", (1, 2, 4))
     def test_linear_ramp_response(self, s):
@@ -128,22 +149,22 @@ class TestAnisotropicGrad:
         c = 0.3
         f = c * np.arange(32.0)[:, None].repeat(4, axis=1)
         expected = c * float((kernel.taps_array() * kernel.offsets()).sum())
-        g = anisotropic_grad(f, kernel)
-        interior = g.y[s + 2 : 32 - s - 2]
+        gy = yop(f, kernel).apply(f)
+        interior = gy[s + 2 : 32 - s - 2]
         npt.assert_allclose(interior, expected, rtol=1e-12)
-        npt.assert_array_equal(g.x, 0.0)
+        npt.assert_array_equal(grad(f).x, 0.0)
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(31)
         f = rng.standard_normal((8, 8))
         kernel = derivative_kernel(2)
-        g = anisotropic_grad(f, kernel)
-        npt.assert_allclose(g.y, oracle_correlation(f, kernel), rtol=1e-12, atol=1e-14)
+        gy = yop(f, kernel).apply(f)
+        npt.assert_allclose(gy, oracle_correlation(f, kernel), rtol=1e-12, atol=1e-14)
 
     def test_x_only_image_has_zero_y_component(self):
         f = np.arange(6.0)[None, :].repeat(9, axis=0) ** 2
-        g = anisotropic_grad(f, derivative_kernel(2))
-        npt.assert_allclose(g.y, 0.0, atol=1e-13)
+        gy = yop(f, derivative_kernel(2)).apply(f)
+        npt.assert_allclose(gy, 0.0, atol=1e-13)
 
 
 def central_fd(objective, f, step=1e-7):
@@ -163,19 +184,18 @@ class TestSsatv1Gradient:
         # floor divides the ~1e-18 residue by 1e-8; anything below 1e-8 is a
         # vanished gradient (typical magnitudes are ~1)
         w = np.ones((8, 8))
-        g = ssatv1_gradient(np.full((8, 8), 0.02), w, derivative_kernel(2))
+        g = aniso_gradient(np.full((8, 8), 0.02), w, derivative_kernel(2))
         npt.assert_allclose(g, 0.0, atol=1e-8)
 
     @pytest.mark.parametrize("s", (2, 4))
     def test_matches_finite_differences(self, s):
         rng = np.random.default_rng(32 + s)
         kernel = derivative_kernel(s)
-        delta = DEFAULT_DELTA_MU
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
-            w = anisotropic_weights(f, 5.0, kernel)
-            g = ssatv1_gradient(f, w, kernel, delta)
-            fd = central_fd(lambda arr: anisotropic_value(arr, w, kernel, delta), f)
+            w = aniso_weights(f, kernel)
+            g = aniso_gradient(f, w, kernel)
+            fd = central_fd(lambda arr: aniso_value(arr, w, kernel, DELTA_MU), f)
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_scale_one_equals_isotropic_gradient(self):
@@ -183,16 +203,17 @@ class TestSsatv1Gradient:
         f = rng.uniform(0.0, 0.04, (8, 8))
         w = update_weights(f, 5.0)
         npt.assert_array_equal(
-            ssatv1_gradient(f, w, derivative_kernel(1)), wtv_gradient(f, w)
+            aniso_gradient(f, w, derivative_kernel(1)),
+            tv_gradient(f, w, forward_diff_op(8), DELTA_MU),
         )
 
     def test_x_only_image_reduces_to_x_terms(self):
         f = np.arange(7.0)[None, :].repeat(8, axis=0) * 0.01
         kernel = derivative_kernel(2)
-        w = anisotropic_weights(f, 5.0, kernel)
-        g = ssatv1_gradient(f, w, kernel)
+        w = aniso_weights(f, kernel)
+        g = aniso_gradient(f, w, kernel)
         # with no Y variation the gradient is the pure-X expression
-        delta = DEFAULT_DELTA_MU
+        delta = DELTA_MU
         gx = np.zeros_like(f)
         gx[:, 1:] = f[:, 1:] - f[:, :-1]
         ratio = w * gx / np.sqrt(gx * gx + delta * delta)
@@ -201,22 +222,28 @@ class TestSsatv1Gradient:
         npt.assert_allclose(g, expected, rtol=1e-12, atol=1e-8)
 
 
+def wtv_pass(f, steps, params):
+    """The driver's wtv phase at 5 HU: weights from ``f``, then the loop."""
+    out, _ = descent_steps(f, update_weights(f, 5.0), forward_diff_op(f.shape[0]),
+                           steps, params, DELTA_MU)
+    return out
+
+
 class TestSsatv1Regularize:
     def test_scale_one_is_bitwise_wtv(self):
         rng = np.random.default_rng(34)
         f = rng.uniform(0.0, 0.04, (16, 16))
         params = LineSearchParams()
-        a = ssatv1_regularize(f, 5.0, 1, 10, params)
-        b = wtv_regularize(f, 5.0, 10, params)
-        npt.assert_array_equal(a, b)
+        a, _ = ssatv1_pass(f, 5.0, 1, 10, params)
+        npt.assert_array_equal(a, wtv_pass(f, 10, params))
 
     def test_value_never_increases(self):
         rng = np.random.default_rng(35)
         f = rng.uniform(0.0, 0.04, (16, 16))
         kernel = derivative_kernel(2)
-        w = anisotropic_weights(f, 5.0, kernel)
-        out = ssatv1_regularize(f, 5.0, 2, 10, LineSearchParams())
-        assert anisotropic_value(out, w, kernel) <= anisotropic_value(f, w, kernel)
+        w = aniso_weights(f, kernel)
+        out, _ = ssatv1_pass(f, 5.0, 2, 10, LineSearchParams())
+        assert aniso_value(out, w, kernel) <= aniso_value(f, w, kernel)
 
     def test_wide_stencil_damps_long_y_waves_faster(self):
         # horizontal streak surrogate: sinusoid along Y with an 8 px period;
@@ -231,6 +258,6 @@ class TestSsatv1Regularize:
             return float(np.sum(np.abs(spectrum[k - 1 : k + 2]) ** 2))
 
         params = LineSearchParams()
-        wide = ssatv1_regularize(f, 5.0, 4, 10, params)
-        plain = wtv_regularize(f, 5.0, 10, params)
+        wide, _ = ssatv1_pass(f, 5.0, 4, 10, params)
+        plain = wtv_pass(f, 10, params)
         assert band_energy(wide) < band_energy(plain)

@@ -7,18 +7,34 @@ from hypothesis.extra.numpy import arrays
 
 from latomo.core import MU_PER_HU
 from latomo.tv import (
-    DEFAULT_DELTA_MU,
     LineSearchParams,
     backtracking_line_search,
     descent_steps,
     forward_diff_op,
     grad,
     normalize_direction,
+    tv_gradient,
+    tv_value,
     update_weights,
-    wtv_gradient,
-    wtv_regularize,
-    wtv_value,
 )
+
+# smoothing floor tied to the default 5 HU reweighting floor, as in the driver
+DELTA_MU = MU_PER_HU * 5.0
+
+
+def iso_value(f, w, delta_mu=0.0):
+    return tv_value(f, w, forward_diff_op(f.shape[0]), delta_mu)
+
+
+def iso_gradient(f, w, delta_mu=DELTA_MU):
+    return tv_gradient(f, w, forward_diff_op(f.shape[0]), delta_mu)
+
+
+def wtv_pass(f, eps_hu, steps, params):
+    """The driver's wtv phase: weights from ``f``, then the descent loop."""
+    out, _ = descent_steps(f, update_weights(f, eps_hu), forward_diff_op(f.shape[0]),
+                           steps, params, MU_PER_HU * eps_hu)
+    return out
 
 
 def oracle_grad(f):
@@ -61,14 +77,14 @@ class TestGrad:
 class TestWtvValue:
     def test_constant_image_is_zero(self):
         w = np.ones((4, 4))
-        assert wtv_value(np.full((4, 4), 2.0), w) == 0.0
+        assert iso_value(np.full((4, 4), 2.0), w) == 0.0
 
     def test_step_edge(self):
         # unit weights, vertical step of height delta spanning n rows
         n, delta = 5, 0.3
         f = np.zeros((n, 6))
         f[:, 3:] = delta
-        assert wtv_value(f, np.ones_like(f)) == pytest.approx(n * delta, rel=1e-12)
+        assert iso_value(f, np.ones_like(f)) == pytest.approx(n * delta, rel=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(22)
@@ -80,18 +96,18 @@ class TestWtvValue:
             for y in range(4)
             for x in range(4)
         )
-        assert wtv_value(f, w) == pytest.approx(expected, rel=1e-12)
+        assert iso_value(f, w) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_scaling_is_exact(self):
         rng = np.random.default_rng(23)
         f = rng.standard_normal((6, 6))
         w = np.ones_like(f)
-        assert wtv_value(2.0 * f, w) == wtv_value(f, w) * 2.0
-        assert wtv_value(3.7 * f, w) == pytest.approx(3.7 * wtv_value(f, w), rel=1e-12)
+        assert iso_value(2.0 * f, w) == iso_value(f, w) * 2.0
+        assert iso_value(3.7 * f, w) == pytest.approx(3.7 * iso_value(f, w), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            wtv_value(np.zeros((3, 3)), np.ones((2, 3)))
+            iso_value(np.zeros((3, 3)), np.ones((2, 3)))
 
 
 class TestUpdateWeights:
@@ -139,17 +155,17 @@ def central_fd(objective, f, step=1e-7):
 class TestWtvGradient:
     def test_constant_image_is_zero(self):
         w = np.ones((4, 4))
-        npt.assert_array_equal(wtv_gradient(np.full((4, 4), 1.0), w), 0.0)
+        npt.assert_array_equal(iso_gradient(np.full((4, 4), 1.0), w), 0.0)
 
-    @pytest.mark.parametrize("delta_mu", [1e-8, DEFAULT_DELTA_MU])
+    @pytest.mark.parametrize("delta_mu", [1e-8, DELTA_MU])
     def test_matches_finite_differences(self, delta_mu):
         # the gradient differentiates the delta-smoothed value exactly
         rng = np.random.default_rng(26)
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
             w = update_weights(f, 5.0)
-            g = wtv_gradient(f, w, delta_mu)
-            fd = central_fd(lambda arr: wtv_value(arr, w, delta_mu), f)
+            g = iso_gradient(f, w, delta_mu)
+            fd = central_fd(lambda arr: iso_value(arr, w, delta_mu), f)
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_tiny_floor_matches_plain_value_differences(self):
@@ -158,17 +174,17 @@ class TestWtvGradient:
         rng = np.random.default_rng(261)
         f = rng.uniform(0.0, 0.04, (8, 8))
         w = update_weights(f, 5.0)
-        g = wtv_gradient(f, w, 1e-8)
-        fd = central_fd(lambda arr: wtv_value(arr, w), f)
+        g = iso_gradient(f, w, 1e-8)
+        fd = central_fd(lambda arr: iso_value(arr, w), f)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
 
     def test_two_pixel_closed_form(self):
         a, b = 0.01, 0.025
         f = np.array([[a, b]])
         w = np.ones_like(f)
-        g = wtv_gradient(f, w)
+        g = iso_gradient(f, w)
         d = b - a
-        slope = d / np.sqrt(d * d + DEFAULT_DELTA_MU**2)
+        slope = d / np.sqrt(d * d + DELTA_MU**2)
         npt.assert_allclose(g, [[-slope, slope]], rtol=1e-12)
 
 
@@ -218,8 +234,8 @@ class TestLineSearch:
         rng = np.random.default_rng(27)
         f = rng.uniform(0.0, 0.04, (8, 8))
         w = update_weights(f, 5.0)
-        objective = lambda arr: wtv_value(arr, w)
-        g = wtv_gradient(f, w)
+        objective = lambda arr: iso_value(arr, w)
+        g = iso_gradient(f, w)
         ghat, _ = normalize_direction(g)
         t = backtracking_line_search(f, g, ghat, objective, LineSearchParams())
         assert t > 0
@@ -232,20 +248,23 @@ class TestLineSearch:
             LineSearchParams(beta=1.0)
         with pytest.raises(ValueError):
             LineSearchParams(t0=0.0)
+        with pytest.raises(ValueError, match="max_shrinks"):
+            LineSearchParams(max_shrinks=-1)
+        assert LineSearchParams(max_shrinks=0).max_shrinks == 0
 
 
 class TestWtvRegularize:
     def test_constant_image_unchanged(self):
         f = np.full((6, 6), 0.02)
-        out = wtv_regularize(f, 5.0, 10, LineSearchParams())
+        out = wtv_pass(f, 5.0, 10, LineSearchParams())
         npt.assert_array_equal(out, f)
 
     def test_objective_never_increases(self):
         rng = np.random.default_rng(28)
         f = rng.uniform(0.0, 0.04, (12, 12))
         w = update_weights(f, 5.0)
-        out = wtv_regularize(f, 5.0, 10, LineSearchParams())
-        assert wtv_value(out, w) <= wtv_value(f, w)
+        out = wtv_pass(f, 5.0, 10, LineSearchParams())
+        assert iso_value(out, w) <= iso_value(f, w)
 
     def test_monotone_within_each_step(self):
         rng = np.random.default_rng(29)
@@ -253,10 +272,10 @@ class TestWtvRegularize:
         w = update_weights(f, 5.0)
         yop = forward_diff_op(10)
         params = LineSearchParams()
-        previous = wtv_value(f, w)
+        previous = iso_value(f, w)
         for _ in range(10):
-            f, _ = descent_steps(f, w, yop, 1, params)
-            current = wtv_value(f, w)
+            f, _ = descent_steps(f, w, yop, 1, params, DELTA_MU)
+            current = iso_value(f, w)
             assert current <= previous
             previous = current
 
@@ -264,6 +283,6 @@ class TestWtvRegularize:
         rng = np.random.default_rng(30)
         f = np.where(np.arange(16)[None, :] < 8, 0.01, 0.03).repeat(16, axis=0)
         f = f + rng.normal(0.0, 5e-4, f.shape)
-        out = wtv_regularize(f, 5.0, 10, LineSearchParams())
+        out = wtv_pass(f, 5.0, 10, LineSearchParams())
         off_edge = (slice(None), slice(0, 6))
         assert out[off_edge].var() < f[off_edge].var()
