@@ -114,10 +114,6 @@ DESK_OVERRIDES = {
 @dataclass
 class ExperimentConfig:
     phantom_spec: str
-    width: int
-    height: int
-    pixel_size: float
-    geometry: FanBeamGeometry
     noise: NoiseSpec | None
     recon: ReconConfig
     roi_mode: str  # builtin | none | mm
@@ -197,9 +193,6 @@ def _get_pair(cp, section, key) -> tuple[float, float]:
 
 
 def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
-    width = _get_int(cp, "grid", "width")
-    height = _get_int(cp, "grid", "height")
-    pixel_size = _get_float(cp, "grid", "pixel_size")
     try:
         geometry = FanBeamGeometry(
             source_to_detector=_get_float(cp, "geometry", "source_to_detector"),
@@ -242,9 +235,9 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
         recon = ReconConfig(
             algorithm=cp.get("recon", "algorithm").strip().lower(),
             geometry=geometry,
-            width=width,
-            height=height,
-            pixel_size=pixel_size,
+            width=_get_int(cp, "grid", "width"),
+            height=_get_int(cp, "grid", "height"),
+            pixel_size=_get_float(cp, "grid", "pixel_size"),
             relaxation=_get_float(cp, "recon", "relaxation"),
             eps_hu=_get_float(cp, "recon", "eps_hu"),
             tv_steps=_get_int(cp, "recon", "steps"),
@@ -274,10 +267,6 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
 
     return ExperimentConfig(
         phantom_spec=cp.get("phantom", "spec").strip(),
-        width=width,
-        height=height,
-        pixel_size=pixel_size,
-        geometry=geometry,
         noise=noise,
         recon=recon,
         roi_mode=roi_mode,
@@ -307,8 +296,9 @@ def _resolve_roi(cfg: ExperimentConfig, spec) -> RoiRect | None:
     if roi_mm is None:
         log.warning("phantom publishes no ROI; RMSE is logged full-image only")
         return None
+    recon = cfg.recon
     try:
-        return roi_rect_for_grid(roi_mm, cfg.width, cfg.height, cfg.pixel_size)
+        return roi_rect_for_grid(roi_mm, recon.width, recon.height, recon.pixel_size)
     except ValueError as exc:
         raise ConfigError(f"roi.region: {exc}") from None
 
@@ -319,46 +309,44 @@ def run_experiment(config_path, sets=(), desk=False,
     cfg = build_experiment(_load_ini(config_path, sets, desk))
     spec = _load_phantom(cfg)
     roi = _resolve_roi(cfg, spec)
+    recon, geom = cfg.recon, cfg.recon.geometry
     if projector is not None:
-        check_projector(projector, cfg.recon)
+        check_projector(projector, recon)
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config_echo.ini", "w") as fh:
         cfg.resolved.write(fh)
 
-    log.info("rasterizing phantom (%dx%d at %g mm)", cfg.width, cfg.height,
-             cfg.pixel_size)
-    truth = rasterize(spec, cfg.width, cfg.height, cfg.pixel_size)
+    log.info("rasterizing phantom (%dx%d at %g mm)", recon.width, recon.height,
+             recon.pixel_size)
+    truth = rasterize(spec, recon.width, recon.height, recon.pixel_size)
     write_raw_image(out / "ground_truth.raw", truth)
     write_pgm16(out / "ground_truth.pgm", truth, cfg.window)
 
     if projector is None:
-        projector = Projector(cfg.geometry, cfg.width, cfg.height, cfg.pixel_size)
-    log.info("simulating %d views x %d channels", cfg.geometry.num_views,
-             cfg.geometry.detector_channels)
-    clean = Sinogram(cfg.geometry.num_views, cfg.geometry.detector_channels,
-                     cfg.geometry.view_angles_deg(), projector.forward(truth.data))
-    write_raw_sinogram(out / "sinogram_clean.raw", clean,
-                       cfg.geometry.channel_size)
+        projector = Projector(geom, recon.width, recon.height, recon.pixel_size)
+    log.info("simulating %d views x %d channels", geom.num_views, geom.detector_channels)
+    clean = Sinogram(geom.num_views, geom.detector_channels,
+                     geom.view_angles_deg(), projector.forward(truth.data))
+    write_raw_sinogram(out / "sinogram_clean.raw", clean, geom.channel_size)
     mirrored = projector.mirrored_views
     log.info("projector: %d views stored, %d mirrored, %.1f MB",
-             cfg.geometry.num_views - mirrored, mirrored, projector.nbytes / 2**20)
+             geom.num_views - mirrored, mirrored, projector.nbytes / 2**20)
     measured = clean
     if cfg.noise is not None:
         measured = add_poisson_noise(clean, cfg.noise)
         write_raw_sinogram(out / "sinogram_noisy.raw", measured,
-                           cfg.geometry.channel_size)
+                           geom.channel_size)
 
-    algorithm = cfg.recon.algorithm
-    log.info("reconstructing with %s (%d iterations)", algorithm,
-             cfg.recon.iterations)
-    image, conv_log = run_reconstruction(cfg.recon, measured, reference=truth,
+    algorithm = recon.algorithm
+    log.info("reconstructing with %s (%d iterations)", algorithm, recon.iterations)
+    image, conv_log = run_reconstruction(recon, measured, reference=truth,
                                          roi=roi, projector=projector)
     write_raw_image(out / f"recon_{algorithm}.raw", image)
     write_pgm16(out / f"recon_{algorithm}.pgm", image, cfg.window)
     diff = image.data - truth.data
-    write_raw(out / f"diff_{algorithm}.raw", diff, cfg.pixel_size)
+    write_raw(out / f"diff_{algorithm}.raw", diff, recon.pixel_size)
     write_pgm16_values(out / f"diff_{algorithm}.pgm", diff / MU_PER_HU,
                        cfg.diff_window)
     conv_log.write_csv(out / f"convergence_{algorithm}.csv")

@@ -31,9 +31,8 @@ from .tv import (
 
 ALGORITHMS = ("sart", "wtv", "ssatv1", "ssatv2")
 
-# Inner-step budgets per scale, coarse to fine, for a total of 10 steps.
+# Built-in inner-step budgets for 2-5 levels, coarse to fine, summing to 10.
 _DEFAULT_BUDGETS = {
-    1: (10,),
     2: (5, 5),
     3: (4, 3, 3),
     4: (2, 2, 3, 3),
@@ -69,12 +68,15 @@ def make_scale_schedule(l_max: int, total_steps: int = 10,
                         budgets=None) -> ScaleSchedule:
     """Schedule with scales 2^(l_max-1), ..., 2, 1.
 
-    Without ``budgets`` the built-in 10-step allocations are used; custom
-    budgets are given coarse to fine and must sum to ``total_steps``.
+    Without ``budgets`` one level takes all ``total_steps`` and deeper
+    schedules use the built-in 10-step allocations; custom budgets are given
+    coarse to fine and must sum to ``total_steps``.
     """
     if not 1 <= l_max <= 5:
         raise ValueError("l_max must be in 1..5")
     scales = [2 ** level for level in range(l_max - 1, -1, -1)]
+    if budgets is None and l_max == 1:
+        budgets = (total_steps,)
     if budgets is None:
         if total_steps != 10:
             raise ValueError(
@@ -119,7 +121,12 @@ class ReconConfig:
         if self.algorithm != "sart" and self.tv_steps < 1:
             raise ValueError(f"tv_steps must be >= 1 for {self.algorithm}")
         if self.algorithm in ("ssatv1", "ssatv2"):
-            self.schedule()
+            coarsest = self.schedule().entries[0][0]
+            if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
+                raise ValueError(
+                    f"levels = {self.levels} down-samples height = {self.height} "
+                    f"to fewer than 2 rows at scale {coarsest}"
+                )
 
     def schedule(self) -> ScaleSchedule:
         return make_scale_schedule(self.levels, self.tv_steps, self.budgets)

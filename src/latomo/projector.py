@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import FanBeamGeometry, ImageGrid
+from .core import FanBeamGeometry
 
 log = logging.getLogger(__name__)
 
@@ -101,9 +101,6 @@ class Projector:
                     or not np.allclose(angles, self.angles_deg, rtol=0.0, atol=1e-9)):
                 return "view angles"
         return None
-
-    def matches_image(self, img: ImageGrid) -> bool:
-        return self.mismatch(img.width, img.height, img.pixel_size, img.origin) is None
 
     def _require_view(self, view_index: int):
         if not 0 <= view_index < len(self.angles_deg):

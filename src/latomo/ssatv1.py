@@ -23,7 +23,6 @@ class LowPassKernel:
 
     taps: tuple[float, ...]
     half_length: int
-    sigma: float
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -50,7 +49,6 @@ class DerivKernel:
 
     taps: tuple[float, ...]
     anchor: int
-    scale: int
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -65,10 +63,6 @@ class DerivKernel:
     def taps_array(self) -> np.ndarray:
         return np.asarray(self.taps, dtype=np.float64)
 
-    def offsets(self) -> np.ndarray:
-        """Row offsets multiplied by each tap (descending)."""
-        return self.anchor - np.arange(len(self.taps))
-
 
 def binomial_kernel(s: int) -> LowPassKernel:
     """Normalized binomial taps C(2s, j) / 4^s; std dev exactly sqrt(s/2)."""
@@ -76,7 +70,7 @@ def binomial_kernel(s: int) -> LowPassKernel:
         raise ValueError("scale must be >= 1")
     taps = np.array([math.comb(2 * s, j) for j in range(2 * s + 1)], dtype=np.float64)
     taps /= 4.0 ** s
-    return LowPassKernel(tuple(taps), s, math.sqrt(s / 2.0))
+    return LowPassKernel(tuple(taps), s)
 
 
 def derivative_kernel(s: int) -> DerivKernel:
@@ -85,10 +79,10 @@ def derivative_kernel(s: int) -> DerivKernel:
     if s < 1:
         raise ValueError("scale must be >= 1")
     if s == 1:
-        return DerivKernel((1.0, -1.0), 0, 1)
+        return DerivKernel((1.0, -1.0), 0)
     taps = np.convolve(binomial_kernel(s).taps_array(), [1.0, -1.0])
     taps *= 2.0 / np.abs(taps).sum()
-    return DerivKernel(tuple(taps), s, s)
+    return DerivKernel(tuple(taps), s)
 
 
 def y_operator(kernel: DerivKernel, height: int) -> RowOperator:

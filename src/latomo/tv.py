@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,13 +22,6 @@ from .core import MU_PER_HU
 # The pull-back check of a sampled descent reports on the ssatv2 logger, the
 # variant that samples.
 _pullback_log = logging.getLogger("latomo.ssatv2")
-
-
-class GradField(NamedTuple):
-    """Per-pixel derivative pair, each shaped like the source image."""
-
-    x: np.ndarray
-    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,23 +46,26 @@ class LineSearchParams:
 
 
 class RowOperator:
-    """Linear filter along the row (Y) axis with edge-clamped taps.
+    """Linear filter along the row (Y) axis with edge-clamped taps, keeping
+    rows 0, stride, 2*stride, ...
 
-    Output row r is sum_k taps[k] * f[clip(r + anchor - k)].  Taps falling
-    off the grid fold onto the edge row, which keeps zero-sum kernels exactly
-    zero on constant images and makes the transpose (``apply_t``) the exact
-    adjoint including the boundary bookkeeping.
+    Output row i is sum_k taps[k] * f[clip(i*stride + anchor - k)].  Taps
+    falling off the grid fold onto the edge row, which keeps zero-sum kernels
+    exactly zero on constant images and makes the transpose (``apply_t``) the
+    exact adjoint including the boundary bookkeeping; with a stride > 1 it is
+    the adjoint up-sampler.  ``shape`` is (output rows, input rows).
     """
 
-    def __init__(self, taps, anchor: int, height: int):
+    def __init__(self, taps, anchor: int, height: int, stride: int = 1):
         taps = np.asarray(taps, dtype=np.float64)
-        rows = np.repeat(np.arange(height), taps.size)
-        ks = np.tile(np.arange(taps.size), height)
-        cols = np.clip(rows + anchor - ks, 0, height - 1)
-        data = np.tile(taps, height)
-        mat = sp.coo_matrix((data, (rows, cols)), shape=(height, height)).tocsr()
+        kept = -(-height // stride)  # ceil division
+        rows = np.repeat(np.arange(kept), taps.size)
+        ks = np.tile(np.arange(taps.size), kept)
+        cols = np.clip(rows * stride + anchor - ks, 0, height - 1)
+        data = np.tile(taps, kept)
+        mat = sp.coo_matrix((data, (rows, cols)), shape=(kept, height)).tocsr()
         mat.sum_duplicates()
-        self.height = height
+        self.shape = mat.shape
         self._mat = mat
         self._mat_t = mat.T.tocsr()
 
@@ -83,11 +79,12 @@ class RowOperator:
 _row_op_cache: dict[tuple, RowOperator] = {}
 
 
-def row_operator(taps, anchor: int, height: int) -> RowOperator:
-    key = (np.asarray(taps, dtype=np.float64).tobytes(), int(anchor), int(height))
+def row_operator(taps, anchor: int, height: int, stride: int = 1) -> RowOperator:
+    key = (np.asarray(taps, dtype=np.float64).tobytes(), int(anchor), int(height),
+           int(stride))
     op = _row_op_cache.get(key)
     if op is None:
-        op = _row_op_cache[key] = RowOperator(taps, anchor, height)
+        op = _row_op_cache[key] = RowOperator(taps, anchor, height, stride)
     return op
 
 
@@ -100,12 +97,6 @@ def _dx(f: np.ndarray) -> np.ndarray:
     out = np.zeros_like(f)
     out[:, 1:] = f[:, 1:] - f[:, :-1]
     return out
-
-
-def grad(f: np.ndarray) -> GradField:
-    """Backward differences with clamped indices (boundary difference = 0)."""
-    f = np.asarray(f, dtype=np.float64)
-    return GradField(_dx(f), forward_diff_op(f.shape[0]).apply(f))
 
 
 # -- generic weighted-TV machinery (parameterized by the Y operator) --------
@@ -141,7 +132,7 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
 
 def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
                   params: LineSearchParams, delta_mu: float,
-                  sampler=None) -> tuple[np.ndarray, list[float]]:
+                  down: RowOperator | None = None) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
     TV value.  Returns the image and the accepted step sizes.
@@ -153,15 +144,14 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
     smaller floor makes the direction a raw subgradient and stalls the
     descent orders of magnitude below any useful step size.
 
-    With ``sampler = (down, up)`` the value, weights and search live on the
-    grid of ``down @ f`` and each step is taken along ``up @ ghat`` on the
-    grid of ``f``.
+    With a down-sampler ``down`` the value, weights and search live on the
+    grid of ``down.apply(f)`` and each step is taken along
+    ``down.apply_t(ghat)`` on the grid of ``f``.
     """
-    down, up = sampler if sampler is not None else (None, None)
     objective = lambda arr: tv_value(arr, w, yop)
     accepted: list[float] = []
     for _ in range(steps):
-        f_s = f if down is None else down @ f
+        f_s = f if down is None else down.apply(f)
         g = tv_gradient(f_s, w, yop, delta_mu)
         ghat, converged = normalize_direction(g)
         if converged:
@@ -169,12 +159,12 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
         t = backtracking_line_search(f_s, g, ghat, objective, params)
         if t == 0.0:
             break
-        f = f - t * (ghat if up is None else up @ ghat)
+        f = f - t * (ghat if down is None else down.apply_t(ghat))
         accepted.append(t)
         if down is not None and _pullback_log.isEnabledFor(logging.DEBUG):
             # fine-grid update re-sampled; small excess possible by design
             predicted = objective(f_s - t * ghat)
-            realized = objective(down @ f)
+            realized = objective(down.apply(f))
             if realized > predicted:
                 _pullback_log.debug(
                     "coarse objective rose after pull-back: %.6g > %.6g",

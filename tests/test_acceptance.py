@@ -23,7 +23,7 @@ from latomo.phantom import (
 )
 from latomo.projector import Projector
 from latomo.ssatv1 import binomial_kernel, derivative_kernel, y_operator
-from latomo.ssatv2 import delta_kernel, down_height, downsample_y, upsample_adjoint_y
+from latomo.ssatv2 import down_sampler
 from latomo.tv import forward_diff_op, tv_gradient, tv_value, tv_weights, update_weights
 
 DESK_SIZE = 256
@@ -64,12 +64,12 @@ class TestCriterion1Operators:
         rng = np.random.default_rng(102)
         worst = 0.0
         for s in (1, 2, 4, 8):
-            lowpass = delta_kernel() if s == 1 else binomial_kernel(s)
             for height in (16, 27):
+                down = down_sampler(height, s)
                 f = rng.standard_normal((height, 6))
-                g = rng.standard_normal((down_height(height, s), 6))
-                lhs = float((downsample_y(f, s, lowpass) * g).sum())
-                rhs = float((f * upsample_adjoint_y(g, s, lowpass, height)).sum())
+                g = rng.standard_normal((-(-height // s), 6))
+                lhs = float((down.apply(f) * g).sum())
+                rhs = float((f * down.apply_t(g)).sum())
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
         assert worst < 1e-12
         ok(f"sampler adjoint exact for s in {{1,2,4,8}}, worst rel gap {worst:.2e} < 1e-12")
@@ -147,19 +147,16 @@ class TestCriterion2Gradients:
     @pytest.mark.parametrize("s", (2, 4))
     def test_composite_downsampled_gradient(self, s):
         rng = np.random.default_rng(205 + s)
-        lowpass = binomial_kernel(s)
+        down = down_sampler(8, s)
         worst = 0.0
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
-            f_d = downsample_y(f, s, lowpass)
+            f_d = down.apply(f)
             w_d = update_weights(f_d, 5.0)
             yop = forward_diff_op(f_d.shape[0])
-            composite = upsample_adjoint_y(
-                tv_gradient(f_d, w_d, yop, DELTA_MU), s, lowpass, 8
-            )
+            composite = down.apply_t(tv_gradient(f_d, w_d, yop, DELTA_MU))
             fd = central_fd(
-                lambda arr: tv_value(downsample_y(arr, s, lowpass), w_d, yop, DELTA_MU),
-                f,
+                lambda arr: tv_value(down.apply(arr), w_d, yop, DELTA_MU), f
             )
             worst = max(worst, np.linalg.norm(composite - fd) / np.linalg.norm(fd))
         assert worst < 1e-4

@@ -47,8 +47,8 @@ class TestConfigParsing:
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
         cfg = build_experiment(_load_ini(path))
-        assert cfg.width == 512 and cfg.pixel_size == 0.5
-        assert cfg.geometry.num_views == 161
+        assert cfg.recon.width == 512 and cfg.recon.pixel_size == 0.5
+        assert cfg.recon.geometry.num_views == 161
         assert cfg.recon.iterations == 500
         assert cfg.recon.relaxation == 0.8
         assert cfg.noise is None
@@ -57,10 +57,10 @@ class TestConfigParsing:
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
         cfg = build_experiment(_load_ini(path, desk=True))
-        assert cfg.width == 256 and cfg.pixel_size == 1.0
-        assert cfg.geometry.detector_channels == 384
+        assert cfg.recon.width == 256 and cfg.recon.pixel_size == 1.0
+        assert cfg.recon.geometry.detector_channels == 384
         assert cfg.recon.iterations == 200
-        assert cfg.geometry.num_views == 161
+        assert cfg.recon.geometry.num_views == 161
 
     def test_set_overrides(self, tmp_path):
         path = write_config(tmp_path)
@@ -141,12 +141,23 @@ class TestRunExperiment:
 
     def test_mismatched_projector_rejected_before_any_write(self, tmp_path):
         path = write_config(tmp_path)
-        geometry = build_experiment(_load_ini(path)).geometry
+        geometry = build_experiment(_load_ini(path)).recon.geometry
         projector = Projector(geometry, 48, 48, 2.0)  # the config says 4 mm
         with pytest.raises(ValueError, match="pixel_size"):
             run_experiment(path, projector=projector)
         assert not (tmp_path / "out").exists()
         assert projector.nbytes == 0
+
+    def test_too_short_pyramid_rejected_before_any_write(self, tmp_path):
+        # 16 rows at scale 16 leave one coarse row
+        path = write_config(tmp_path)
+        sets = ["grid.height=16", "recon.algorithm=ssatv2", "recon.levels=5"]
+        with pytest.raises(ConfigError, match=r"levels = 5 .*height = 16"):
+            run_experiment(path, sets=sets)
+        assert not (tmp_path / "out").exists()
+        argv = ["run", str(path)] + [arg for s in sets for arg in ("--set", s)]
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_noise_artifact_and_clean_reproducibility(self, tmp_path):
         path = write_config(tmp_path)

@@ -42,6 +42,12 @@ class TestScaleSchedule:
         assert make_scale_schedule(4).entries == ((8, 2), (4, 2), (2, 3), (1, 3))
         assert make_scale_schedule(5).entries == ((16, 2), (8, 2), (4, 2), (2, 2), (1, 2))
 
+    def test_one_level_takes_any_step_count(self):
+        for steps in (1, 7, 10, 23):
+            assert make_scale_schedule(1, steps).entries == ((1, steps),)
+        with pytest.raises(ValueError, match="total_steps=10"):
+            make_scale_schedule(2, 7)
+
     def test_budgets_sum_to_total(self):
         for l_max in range(1, 6):
             assert make_scale_schedule(l_max).total_steps == 10
@@ -98,6 +104,16 @@ class TestReconConfig:
         with pytest.raises(ValueError, match="l_max"):
             config("ssatv2", levels=6)
 
+    def test_ssatv2_pyramid_height_checked(self):
+        # the coarsest scale must keep at least 2 rows: ceil(16 / 16) = 1
+        with pytest.raises(ValueError, match=r"levels = 5 .*height = 16"):
+            replace(config("ssatv2"), height=16, levels=5)
+        with pytest.raises(ValueError, match=r"levels = 3 .*height = 4"):
+            replace(config("ssatv2"), height=4, levels=3)
+        assert replace(config("ssatv2"), height=17, levels=5).height == 17
+        assert replace(config("ssatv2"), height=5, levels=3).height == 5
+        assert replace(config("ssatv1"), height=16, levels=5).height == 16
+
 
 class TestRunReconstruction:
     def test_deterministic(self, small_scene):
@@ -110,10 +126,11 @@ class TestRunReconstruction:
 
     def test_degeneracy_chain_bitwise(self, small_scene):
         truth, projector, sino, roi = small_scene
-        for eps_hu in (5.0, 20.0):
+        for eps_hu, tv_steps in ((5.0, 10), (20.0, 10), (5.0, 7)):
             images = {}
             for algorithm in ("wtv", "ssatv1", "ssatv2"):
-                cfg = config(algorithm, iterations=4, levels=1, eps_hu=eps_hu)
+                cfg = config(algorithm, iterations=4, levels=1, eps_hu=eps_hu,
+                             tv_steps=tv_steps)
                 images[algorithm], _ = run_reconstruction(cfg, sino, projector=projector)
             npt.assert_array_equal(images["wtv"].data, images["ssatv1"].data)
             npt.assert_array_equal(images["wtv"].data, images["ssatv2"].data)

@@ -11,7 +11,6 @@ from latomo.tv import (
     backtracking_line_search,
     descent_steps,
     forward_diff_op,
-    grad,
     normalize_direction,
     tv_gradient,
     tv_value,
@@ -52,26 +51,31 @@ def oracle_grad(f):
 
 
 class TestGrad:
+    """The image gradient: Y differences through :func:`forward_diff_op`,
+    its magnitude through the weights 1 / (|grad f| + eps)."""
+
+    EPS_MU = MU_PER_HU * 5.0
+
     def test_constant_image(self):
-        g = grad(np.full((5, 7), 3.2))
-        npt.assert_array_equal(g.x, 0.0)
-        npt.assert_array_equal(g.y, 0.0)
+        f = np.full((5, 7), 3.2)
+        npt.assert_array_equal(forward_diff_op(5).apply(f), 0.0)
+        npt.assert_array_equal(update_weights(f, 5.0), 1.0 / self.EPS_MU)
 
     def test_linear_ramp_along_x(self):
         c = 0.7
         f = c * np.arange(6.0)[None, :].repeat(4, axis=0)
-        g = grad(f)
-        npt.assert_allclose(g.x[:, 1:], c)
-        npt.assert_array_equal(g.x[:, 0], 0.0)
-        npt.assert_array_equal(g.y, 0.0)
+        w = update_weights(f, 5.0)
+        npt.assert_allclose(w[:, 1:], 1.0 / (c + self.EPS_MU))
+        npt.assert_array_equal(w[:, 0], 1.0 / self.EPS_MU)
+        npt.assert_array_equal(forward_diff_op(4).apply(f), 0.0)
 
     def test_random_matches_oracle(self):
         rng = np.random.default_rng(21)
         f = rng.standard_normal((3, 3))
-        g = grad(f)
         ox, oy = oracle_grad(f)
-        npt.assert_array_equal(g.x, ox)
-        npt.assert_array_equal(g.y, oy)
+        npt.assert_array_equal(forward_diff_op(3).apply(f), oy)
+        npt.assert_array_equal(update_weights(f, 5.0),
+                               1.0 / (np.sqrt(ox * ox + oy * oy) + self.EPS_MU))
 
 
 class TestWtvValue:
