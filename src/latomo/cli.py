@@ -278,13 +278,14 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
     )
 
 
-def _load_phantom(cfg: ExperimentConfig):
-    if cfg.phantom_spec.lower() == "builtin":
+def _load_phantom(spec: str):
+    """The built-in head phantom, or the phantom spec file at ``spec``."""
+    if spec.lower() == "builtin":
         return builtin_head_phantom()
     try:
-        return load_phantom_spec(cfg.phantom_spec)
+        return load_phantom_spec(spec)
     except OSError as exc:
-        raise ConfigError(f"phantom.spec: cannot read {cfg.phantom_spec}: {exc}") from None
+        raise ConfigError(f"phantom.spec: cannot read {spec}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"phantom.spec: {exc}") from None
 
@@ -307,7 +308,7 @@ def run_experiment(config_path, sets=(), desk=False,
                    projector: Projector | None = None) -> Path:
     """Execute one configured reconstruction; returns the output directory."""
     cfg = build_experiment(_load_ini(config_path, sets, desk))
-    spec = _load_phantom(cfg)
+    spec = _load_phantom(cfg.phantom_spec)
     roi = _resolve_roi(cfg, spec)
     recon, geom = cfg.recon, cfg.recon.geometry
     if projector is not None:
@@ -399,11 +400,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    if args.spec.lower() == "builtin":
-        spec = builtin_head_phantom()
-    else:
-        spec = load_phantom_spec(args.spec)
-    img = rasterize(spec, args.width, args.height, args.pixel_size)
+    img = rasterize(_load_phantom(args.spec), args.width, args.height, args.pixel_size)
     write_raw_image(args.out, img)
     if args.pgm:
         write_pgm16(args.pgm, img, tuple(args.window))

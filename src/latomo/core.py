@@ -5,7 +5,7 @@ Coordinate convention (fixed, used by every module):
   * Y increases upward and is the first (row) array axis, i.e. row 0 is the
     bottom of the image.  PGM previews are written top row first so they
     display upright.
-  * The grid is centered on the isocenter unless ``origin`` shifts it.
+  * The grid is centered on the isocenter.
 
 Images are stored as linear attenuation in mm^-1; Hounsfield units are a
 display/metric convention converted at the boundaries.
@@ -40,15 +40,14 @@ def mu_to_hu(mu):
 class ImageGrid:
     """2-D attenuation image on a regular, isotropic pixel lattice.
 
-    ``data`` has shape (height, width), row 0 at the bottom (smallest Y).
-    ``origin`` is the mm offset of the grid center from the isocenter.
+    ``data`` has shape (height, width), row 0 at the bottom (smallest Y);
+    the lattice is centered on the isocenter.
     """
 
     width: int
     height: int
     pixel_size: float
     data: np.ndarray
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
@@ -57,29 +56,27 @@ class ImageGrid:
             raise ValueError("pixel_size must be > 0")
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != (self.height, self.width):
-            if arr.size != self.width * self.height:
-                raise ValueError(
-                    f"data size {arr.size} != width*height {self.width * self.height}"
-                )
-            arr = arr.reshape(self.height, self.width)
+            raise ValueError(
+                f"data shape {arr.shape} != (height, width) {(self.height, self.width)}"
+            )
         if not np.all(np.isfinite(arr)):
             raise ValueError("image values must be finite")
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def zeros(cls, width, height, pixel_size, origin=(0.0, 0.0)):
-        return cls(width, height, pixel_size, np.zeros((height, width)), origin)
+    def zeros(cls, width, height, pixel_size):
+        return cls(width, height, pixel_size, np.zeros((height, width)))
 
     def with_data(self, data: np.ndarray) -> "ImageGrid":
-        return ImageGrid(self.width, self.height, self.pixel_size, data, self.origin)
+        return ImageGrid(self.width, self.height, self.pixel_size, data)
 
     def x_centers(self) -> np.ndarray:
         """World X of pixel centers per column (mm)."""
-        return (np.arange(self.width) - (self.width - 1) / 2.0) * self.pixel_size + self.origin[0]
+        return (np.arange(self.width) - (self.width - 1) / 2.0) * self.pixel_size
 
     def y_centers(self) -> np.ndarray:
         """World Y of pixel centers per row (mm), increasing with row index."""
-        return (np.arange(self.height) - (self.height - 1) / 2.0) * self.pixel_size + self.origin[1]
+        return (np.arange(self.height) - (self.height - 1) / 2.0) * self.pixel_size
 
     def to_hu(self) -> np.ndarray:
         return mu_to_hu(self.data)
@@ -219,10 +216,10 @@ def write_raw_image(path, img: ImageGrid):
     write_raw(path, img.data, img.pixel_size)
 
 
-def read_raw_image(path, origin=(0.0, 0.0)) -> ImageGrid:
+def read_raw_image(path) -> ImageGrid:
     data, pixel_size = read_raw(path)
     height, width = data.shape
-    return ImageGrid(width, height, pixel_size, data.astype(np.float64), origin)
+    return ImageGrid(width, height, pixel_size, data.astype(np.float64))
 
 
 def write_raw_sinogram(path, sino: Sinogram, channel_size: float = 0.0):

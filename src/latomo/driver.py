@@ -47,18 +47,6 @@ class ScaleSchedule:
 
     entries: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        scales = [s for s, _ in self.entries]
-        if not scales or scales[-1] != 1:
-            raise ValueError("schedule must end at scale 1")
-        for s in scales:
-            if s < 1 or s & (s - 1):
-                raise ValueError(f"scale {s} is not a power of two")
-        if any(nxt >= cur for cur, nxt in zip(scales[:-1], scales[1:])):
-            raise ValueError("scales must be strictly decreasing")
-        if any(m < 1 for _, m in self.entries):
-            raise ValueError("inner step counts must be >= 1")
-
     @property
     def total_steps(self) -> int:
         return sum(m for _, m in self.entries)
@@ -86,6 +74,8 @@ def make_scale_schedule(l_max: int, total_steps: int = 10,
     budgets = tuple(int(b) for b in budgets)
     if len(budgets) != l_max:
         raise ValueError(f"budgets: expected {l_max} entries, got {len(budgets)}")
+    if any(b < 1 for b in budgets):
+        raise ValueError(f"budgets: inner step counts must be >= 1, got {budgets}")
     if sum(budgets) != total_steps:
         raise ValueError(
             f"budgets: sum {sum(budgets)} != total inner steps {total_steps}"
@@ -100,7 +90,6 @@ class ReconConfig:
     width: int
     height: int
     pixel_size: float
-    origin: tuple[float, float] = (0.0, 0.0)
     relaxation: float = 0.8
     eps_hu: float = 5.0
     tv_steps: int = 10
@@ -112,6 +101,11 @@ class ReconConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.pixel_size > 0:
+            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
         if not 0 < self.relaxation <= 1:
             raise ValueError("relaxation must be in (0, 1]")
         if not self.eps_hu > 0:
@@ -215,7 +209,7 @@ def check_projector(projector: Projector, config: ReconConfig):
     """Rejects a prebuilt projector that differs from ``config``'s grid or
     scan geometry, naming the first field that differs."""
     field = projector.mismatch(config.width, config.height, config.pixel_size,
-                               config.origin, config.geometry)
+                               config.geometry)
     if field is not None:
         raise ValueError(f"prebuilt projector {field} does not match the configuration")
 
@@ -235,8 +229,7 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
     geom = config.geometry
     _check_sinogram(geom, sinogram)
     if projector is None:
-        projector = Projector(geom, config.width, config.height,
-                              config.pixel_size, config.origin)
+        projector = Projector(geom, config.width, config.height, config.pixel_size)
     else:
         check_projector(projector, config)
     if reference is not None and roi is not None:
@@ -257,14 +250,11 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
         objective = tv_value(f, update_weights(f, config.eps_hu), yop1)
         roi_err = full_err = None
         if reference is not None:
-            img = ImageGrid(config.width, config.height, config.pixel_size, f,
-                            config.origin)
+            img = ImageGrid(config.width, config.height, config.pixel_size, f)
             full_err = roi_rmse(img, reference)
             roi_err = roi_rmse(img, reference, roi) if roi is not None else None
         wall_ms = (time.perf_counter() - started) * 1e3
         log.rows.append(LogRow(n, roi_err, full_err, objective, step_sizes, wall_ms))
         if on_iteration is not None:
             on_iteration(n, f)
-    image = ImageGrid(config.width, config.height, config.pixel_size, f,
-                      config.origin)
-    return image, log
+    return ImageGrid(config.width, config.height, config.pixel_size, f), log

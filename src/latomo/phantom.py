@@ -62,15 +62,14 @@ class NoiseSpec:
             raise ValueError("incident_photons must be > 0")
 
 
-def rasterize(spec: PhantomSpec, width: int, height: int, pixel_size: float,
-              origin=(0.0, 0.0)) -> ImageGrid:
+def rasterize(spec: PhantomSpec, width: int, height: int, pixel_size: float) -> ImageGrid:
     """Paint the primitives onto an air background, later primitives winning.
 
     A pixel takes a primitive's value when its center lies inside: ellipses
     use the closed region, bars the half-open box [min, max) on both axes so
     that edges shared between a bar and its gap are assigned once.
     """
-    grid = ImageGrid.zeros(width, height, pixel_size, origin)
+    grid = ImageGrid.zeros(width, height, pixel_size)
     xs = grid.x_centers()
     ys = grid.y_centers()
     hu = np.full((height, width), AIR_HU)
@@ -140,16 +139,15 @@ def builtin_head_phantom() -> PhantomSpec:
     return PhantomSpec(tuple(primitives), roi_mm=(-13.0, -59.0, 13.0, -45.0))
 
 
-def roi_rect_for_grid(roi_mm, width: int, height: int, pixel_size: float,
-                      origin=(0.0, 0.0)) -> RoiRect:
+def roi_rect_for_grid(roi_mm, width: int, height: int, pixel_size: float) -> RoiRect:
     """Convert a world-mm ROI to the inclusive pixel rectangle of covered centers."""
     x0, y0, x1, y1 = roi_mm
     cx = (width - 1) / 2.0
     cy = (height - 1) / 2.0
-    ix0 = int(np.ceil((x0 - origin[0]) / pixel_size + cx))
-    ix1 = int(np.floor((x1 - origin[0]) / pixel_size + cx))
-    iy0 = int(np.ceil((y0 - origin[1]) / pixel_size + cy))
-    iy1 = int(np.floor((y1 - origin[1]) / pixel_size + cy))
+    ix0 = int(np.ceil(x0 / pixel_size + cx))
+    ix1 = int(np.floor(x1 / pixel_size + cx))
+    iy0 = int(np.ceil(y0 / pixel_size + cy))
+    iy1 = int(np.floor(y1 / pixel_size + cy))
     ix0, iy0 = max(ix0, 0), max(iy0, 0)
     ix1, iy1 = min(ix1, width - 1), min(iy1, height - 1)
     if ix1 < ix0 or iy1 < iy0:

@@ -9,13 +9,13 @@ the forward projection is ``A @ x`` and the back-projection the copy-free
 transpose product ``A.T @ r``, so the pair passes adjoint tests to rounding
 error.  That costs 12 bytes per traversed (ray, pixel) pair.
 
-Mirror sharing: when the grid is centered in X and the view angles pair up
-as ``angles[k] + angles[V-1-k] == 180`` degrees, view ``V-1-k`` is the mirror
-image of view ``k`` across the Y axis.  Only view ``k`` is traced and
-stored; view ``V-1-k`` is applied through it with the channels reversed and
-the image flipped in X, which halves the trace time and the memory of a
-symmetric scan.  Otherwise every view is traced.  All operations are plain
-single-threaded numpy/scipy and bit-reproducible.
+Mirror sharing: the grid is centered on the isocenter, so when the view
+angles pair up as ``angles[k] + angles[V-1-k] == 180`` degrees, view
+``V-1-k`` is the mirror image of view ``k`` across the Y axis.  Only view
+``k`` is traced and stored; view ``V-1-k`` is applied through it with the
+channels reversed and the image flipped in X, which halves the trace time
+and the memory of a symmetric scan.  Otherwise every view is traced.  All
+operations are plain single-threaded numpy/scipy and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -44,62 +44,54 @@ class ViewSums:
 
 
 class Projector:
-    """Fan-beam system operator bound to one geometry and one image lattice.
+    """Fan-beam system operator bound to one geometry and one image lattice
+    centered on the isocenter.
 
     Each view is traced on first use and kept; for an experiment-size grid
     the cache holds a few hundred MB (see ``nbytes``).
     """
 
     def __init__(self, geom: FanBeamGeometry, width: int, height: int,
-                 pixel_size: float, origin=(0.0, 0.0)):
-        if geom.source_to_detector <= 0 or geom.source_to_isocenter <= 0:
-            raise ValueError("degenerate geometry")
+                 pixel_size: float):
         self.geom = geom
         self.width = int(width)
         self.height = int(height)
         self.pixel_size = float(pixel_size)
-        self.origin = (float(origin[0]), float(origin[1]))
-        self.x_lo = -self.width * self.pixel_size / 2.0 + self.origin[0]
-        self.y_lo = -self.height * self.pixel_size / 2.0 + self.origin[1]
+        self.x_lo = -self.width * self.pixel_size / 2.0
+        self.y_lo = -self.height * self.pixel_size / 2.0
         self.angles_deg = geom.view_angles_deg()
         self._views: dict[int, tuple[csr_array, np.ndarray, np.ndarray]] = {}
         views = np.arange(len(self.angles_deg))
         pair_sums = self.angles_deg + self.angles_deg[::-1]
-        symmetric = (self.origin[0] == 0.0
-                     and bool(np.all(np.abs(pair_sums - 180.0) <= _MIRROR_TOL_DEG)))
+        symmetric = bool(np.all(np.abs(pair_sums - 180.0) <= _MIRROR_TOL_DEG))
         self._mirrored = symmetric & (views > views[::-1])
         half_diag = float(np.hypot(self.width, self.height)) * self.pixel_size / 2.0
-        grid_reach = half_diag + float(np.hypot(*self.origin))
-        if grid_reach > geom.fov_radius:
+        if half_diag > geom.fov_radius:
             log.info(
                 "grid extends %.1f mm from isocenter but the fan covers %.1f mm; "
-                "corner rays clip", grid_reach, geom.fov_radius,
+                "corner rays clip", half_diag, geom.fov_radius,
             )
 
     # -- geometry ----------------------------------------------------------
 
     def mismatch(self, width: int, height: int, pixel_size: float,
-                 origin=(0.0, 0.0), geom: FanBeamGeometry | None = None) -> str | None:
+                 geom: FanBeamGeometry) -> str | None:
         """Name of the first field in which this projector differs from the
-        given lattice (and scan geometry, when given), or None if none does."""
+        given lattice and scan geometry, or None if none does."""
         fields = [
             ("width", self.width, int(width)),
             ("height", self.height, int(height)),
             ("pixel_size", self.pixel_size, float(pixel_size)),
-            ("origin", self.origin, (float(origin[0]), float(origin[1]))),
-        ]
-        if geom is not None:
-            fields += [(name, getattr(self.geom, name), getattr(geom, name))
-                       for name in ("source_to_detector", "source_to_isocenter",
-                                    "detector_channels", "channel_size")]
+        ] + [(name, getattr(self.geom, name), getattr(geom, name))
+             for name in ("source_to_detector", "source_to_isocenter",
+                          "detector_channels", "channel_size")]
         for name, mine, theirs in fields:
             if mine != theirs:
                 return name
-        if geom is not None:
-            angles = geom.view_angles_deg()
-            if (angles.shape != self.angles_deg.shape
-                    or not np.allclose(angles, self.angles_deg, rtol=0.0, atol=1e-9)):
-                return "view angles"
+        angles = geom.view_angles_deg()
+        if (angles.shape != self.angles_deg.shape
+                or not np.allclose(angles, self.angles_deg, rtol=0.0, atol=1e-9)):
+            return "view angles"
         return None
 
     def _require_view(self, view_index: int):

@@ -32,8 +32,7 @@ def down_sampler(height: int, s: int) -> RowOperator:
     up-sampler."""
     if s == 1:
         return row_operator((1.0,), 0, height)
-    lowpass = binomial_kernel(s)
-    return row_operator(lowpass.taps, lowpass.half_length, height, stride=s)
+    return row_operator(binomial_kernel(s), s, height, stride=s)
 
 
 @dataclass(frozen=True)
@@ -73,5 +72,10 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     down = level.sampler
+    if f.shape[0] != down.shape[1]:
+        raise ValueError(
+            f"image height {f.shape[0]} != level height {down.shape[1]} "
+            f"(scale {level.scale})"
+        )
     return descent_steps(f, level.weights, forward_diff_op(down.shape[0]),
                          steps, params, MU_PER_HU * eps_hu, down=down)

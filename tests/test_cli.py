@@ -159,6 +159,22 @@ class TestRunExperiment:
         assert main(argv) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("assignment, message", [
+        ("grid.width=0", "width must be >= 1"),
+        ("grid.pixel_size=-1", "pixel_size must be > 0"),
+    ], ids=["width", "pixel_size"])
+    def test_bad_grid_rejected_before_any_write(self, tmp_path, capsys,
+                                                assignment, message):
+        # once failed only after config_echo.ini was written
+        path = write_config(tmp_path)
+        sets = [assignment, "roi.region=none"]
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(path, sets=sets)
+        argv = ["run", str(path)] + [arg for s in sets for arg in ("--set", s)]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_noise_artifact_and_clean_reproducibility(self, tmp_path):
         path = write_config(tmp_path)
         out = run_experiment(path, sets=["noise.photons=5e6", "noise.seed=42"])
@@ -247,6 +263,13 @@ class TestMain:
         from latomo.core import read_raw_image
         img = read_raw_image(out)
         assert img.width == 64 and img.data.max() > 0.03  # skull present
+
+    def test_phantom_subcommand_missing_spec_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "nope.spec"
+        out = tmp_path / "x.raw"
+        assert main(["phantom", str(missing), "--out", str(out)]) == 1
+        assert f"cannot read {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_compare_subcommand(self, tmp_path):
         log = tmp_path / "c.csv"

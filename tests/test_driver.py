@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latomo.core import FanBeamGeometry, Sinogram
 from latomo.driver import (
     CSV_HEADER,
     ConvergenceLog,
     ReconConfig,
-    ScaleSchedule,
     make_scale_schedule,
     run_reconstruction,
 )
@@ -66,13 +67,39 @@ class TestScaleSchedule:
         with pytest.raises(ValueError):
             make_scale_schedule(6)
 
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            ScaleSchedule(((3, 5), (1, 5)))  # not a power of two
-        with pytest.raises(ValueError):
-            ScaleSchedule(((2, 5),))  # does not end at scale 1
-        with pytest.raises(ValueError):
-            ScaleSchedule(((2, 5), (2, 5), (1, 2)))  # not strictly decreasing
+    def test_budgets_must_be_positive(self):
+        with pytest.raises(ValueError, match="budgets: inner step counts"):
+            make_scale_schedule(2, budgets=(0, 10))
+        with pytest.raises(ValueError, match="budgets: inner step counts"):
+            make_scale_schedule(1, 0)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(budgets=st.none() | st.lists(st.integers(-2, 12), max_size=6),
+           levels=st.none() | st.integers(-1, 7),
+           total=st.none() | st.integers(-3, 25))
+    def test_every_schedule_is_valid_or_rejected(self, budgets, levels, total):
+        # None draws the value that matches the budgets
+        if levels is None:
+            levels = 1 if budgets is None else len(budgets)
+        if total is None:
+            total = 10 if budgets is None else sum(budgets)
+        # oracle: which (levels, total, budgets) describe a runnable schedule
+        if budgets is None:
+            valid = (levels == 1 and total >= 1) or (2 <= levels <= 5 and total == 10)
+        else:
+            valid = (1 <= levels <= 5 and len(budgets) == levels
+                     and min(budgets) >= 1 and sum(budgets) == total)
+        if not valid:
+            with pytest.raises(ValueError):
+                make_scale_schedule(levels, total, budgets)
+            return
+        entries = make_scale_schedule(levels, total, budgets).entries
+        scales = [s for s, _ in entries]
+        steps = [m for _, m in entries]
+        assert len(entries) == levels and scales[-1] == 1
+        assert all(s & (s - 1) == 0 for s in scales)
+        assert all(a > b for a, b in zip(scales, scales[1:]))
+        assert min(steps) >= 1 and sum(steps) == total
 
 
 class TestReconConfig:
@@ -87,6 +114,14 @@ class TestReconConfig:
     def test_eps_checked(self):
         with pytest.raises(ValueError):
             config("wtv", eps_hu=0.0)
+
+    def test_grid_checked(self):
+        for field, value in (("width", 0), ("height", -2)):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                replace(config("sart"), **{field: value})
+        for pixel_size in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="pixel_size must be > 0"):
+                replace(config("sart"), pixel_size=pixel_size)
 
     @pytest.mark.parametrize("algorithm", ["wtv", "ssatv1", "ssatv2"])
     @pytest.mark.parametrize("steps", [0, -3])
@@ -196,9 +231,6 @@ class TestRunReconstruction:
                           pixel_size=4.0, iterations=5)
         with pytest.raises(ValueError, match="pixel_size"):
             run_reconstruction(cfg, sino, projector=projector)
-        with pytest.raises(ValueError, match="origin"):
-            run_reconstruction(config("sart", origin=(2.0, 0.0)), sino,
-                               projector=projector)
         for field, geom in (
             ("detector_channels", replace(GEOM, detector_channels=95)),
             ("view angles", replace(GEOM, angle_start=12.0, angle_end=172.0)),

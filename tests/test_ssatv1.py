@@ -4,8 +4,6 @@ import pytest
 
 from latomo.core import MU_PER_HU
 from latomo.ssatv1 import (
-    DerivKernel,
-    LowPassKernel,
     binomial_kernel,
     derivative_kernel,
     ssatv1_pass,
@@ -43,7 +41,8 @@ def aniso_gradient(f, w, kernel, delta_mu=DELTA_MU):
 
 def tap_offsets(kernel):
     """Row offsets multiplied by each tap (descending)."""
-    return kernel.anchor - np.arange(len(kernel.taps))
+    taps, anchor = kernel
+    return anchor - np.arange(len(taps))
 
 
 SCALES = (1, 2, 4, 8, 16)
@@ -51,26 +50,25 @@ SCALES = (1, 2, 4, 8, 16)
 
 class TestBinomialKernel:
     def test_scale_one(self):
-        npt.assert_array_equal(binomial_kernel(1).taps, [0.25, 0.5, 0.25])
+        npt.assert_array_equal(binomial_kernel(1), [0.25, 0.5, 0.25])
 
     def test_scale_two(self):
         npt.assert_array_equal(
-            binomial_kernel(2).taps, np.array([1, 4, 6, 4, 1]) / 16.0
+            binomial_kernel(2), np.array([1, 4, 6, 4, 1]) / 16.0
         )
 
     @pytest.mark.parametrize("s", SCALES)
     def test_sums_to_one_exactly(self, s):
-        assert sum(binomial_kernel(s).taps) == 1.0
+        assert sum(binomial_kernel(s)) == 1.0
 
     @pytest.mark.parametrize("s", SCALES)
     def test_symmetric(self, s):
-        taps = binomial_kernel(s).taps_array()
+        taps = binomial_kernel(s)
         npt.assert_array_equal(taps, taps[::-1])
 
     @pytest.mark.parametrize("s", SCALES)
     def test_variance_is_half_scale(self, s):
-        kernel = binomial_kernel(s)
-        taps = kernel.taps_array()
+        taps = binomial_kernel(s)
         j = np.arange(taps.size)
         variance = float((taps * (j - s) ** 2).sum())
         assert variance == s / 2.0
@@ -79,61 +77,51 @@ class TestBinomialKernel:
         with pytest.raises(ValueError):
             binomial_kernel(0)
 
-    def test_validation_catches_bad_taps(self):
-        with pytest.raises(ValueError):
-            LowPassKernel((0.5, 0.6), 0)  # wrong length
-        with pytest.raises(ValueError):
-            LowPassKernel((0.2, 0.5, 0.2), 1)  # sums to 0.9
-
 
 class TestDerivativeKernel:
     def test_scale_one_is_plain_difference(self):
-        kernel = derivative_kernel(1)
-        npt.assert_array_equal(kernel.taps, [1.0, -1.0])
-        assert kernel.anchor == 0
+        taps, anchor = derivative_kernel(1)
+        npt.assert_array_equal(taps, [1.0, -1.0])
+        assert anchor == 0
 
     def test_scale_two_matches_rescaled_convolution(self):
         # oracle: convolve the binomial taps with [1, -1], rescale l1 to 2
         raw = np.convolve(np.array([1, 4, 6, 4, 1]) / 16.0, [1.0, -1.0])
         expected = raw * (2.0 / np.abs(raw).sum())
-        kernel = derivative_kernel(2)
-        npt.assert_allclose(kernel.taps, expected, atol=1e-15)
-        npt.assert_allclose(kernel.taps, np.array([1, 3, 2, -2, -3, -1]) / 6.0,
+        taps, anchor = derivative_kernel(2)
+        npt.assert_allclose(taps, expected, atol=1e-15)
+        npt.assert_allclose(taps, np.array([1, 3, 2, -2, -3, -1]) / 6.0,
                             atol=1e-15)
-        assert kernel.anchor == 2
+        assert anchor == 2
 
     @pytest.mark.parametrize("s", SCALES)
     def test_zero_sum_and_l1_norm(self, s):
-        taps = derivative_kernel(s).taps_array()
+        taps, _ = derivative_kernel(s)
         assert abs(taps.sum()) <= 1e-12
         assert abs(np.abs(taps).sum() - 2.0) <= 1e-12
 
     @pytest.mark.parametrize("s", SCALES)
     def test_antisymmetric(self, s):
-        taps = derivative_kernel(s).taps_array()
+        taps, _ = derivative_kernel(s)
         npt.assert_allclose(taps, -taps[::-1], atol=1e-15)
 
     @pytest.mark.parametrize("s", (2, 4))
     def test_length_and_half_pixel_anchor(self, s):
         kernel = derivative_kernel(s)
-        assert len(kernel.taps) == 2 * s + 2
+        assert len(kernel[0]) == 2 * s + 2
         offsets = tap_offsets(kernel)
         assert offsets.max() == s and offsets.min() == -s - 1
         assert (offsets.max() + offsets.min()) / 2.0 == -0.5
 
-    def test_validation_rejects_nonzero_sum(self):
-        with pytest.raises(ValueError):
-            DerivKernel((1.0, -0.5), 0)
-
 
 def oracle_correlation(f, kernel):
     """Brute-force clamped correlation along Y, independent implementation."""
-    taps = kernel.taps_array()
+    taps, anchor = kernel
     h = f.shape[0]
     out = np.zeros_like(f)
     for y in range(h):
         for k, tap in enumerate(taps):
-            yy = min(max(y + kernel.anchor - k, 0), h - 1)
+            yy = min(max(y + anchor - k, 0), h - 1)
             out[y] += tap * f[yy]
     return out
 
@@ -151,7 +139,7 @@ class TestAnisotropicGrad:
         kernel = derivative_kernel(s)
         c = 0.3
         f = c * np.arange(32.0)[:, None].repeat(4, axis=1)
-        expected = c * float((kernel.taps_array() * tap_offsets(kernel)).sum())
+        expected = c * float((kernel[0] * tap_offsets(kernel)).sum())
         gy = yop(f, kernel).apply(f)
         interior = gy[s + 2 : 32 - s - 2]
         npt.assert_allclose(interior, expected, rtol=1e-12)

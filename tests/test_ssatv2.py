@@ -24,10 +24,9 @@ def coarse_value(f_d, w_d, delta_mu=0.0):
     return tv_value(f_d, w_d, forward_diff_op(f_d.shape[0]), delta_mu)
 
 
-def oracle_downsample(f, s, lowpass):
+def oracle_downsample(f, s, taps):
     """Filter along Y with clamped indices, then keep every s-th row."""
-    taps = lowpass.taps_array()
-    L = lowpass.half_length
+    L = taps.size // 2
     h = f.shape[0]
     filtered = np.zeros_like(f)
     for y in range(h):
@@ -138,6 +137,12 @@ class TestSubstep:
         out, accepted = ssatv2_pass(f, level, 5.0, 5, LineSearchParams())
         npt.assert_array_equal(out, f)
         assert accepted == []
+
+    def test_image_height_must_match_level(self):
+        # a level made for 16 rows once failed inside scipy on 17 rows
+        level = make_pyramid_level(np.zeros((16, 8)), 2, 5.0)
+        with pytest.raises(ValueError, match=r"image height 17 != level height 16"):
+            ssatv2_pass(np.zeros((17, 8)), level, 5.0, 1, LineSearchParams())
 
     def test_scale_one_delta_is_bitwise_wtv(self):
         rng = np.random.default_rng(45)
