@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +33,10 @@ from .core import (
     write_raw_image,
     write_raw_sinogram,
 )
-from .driver import ReconConfig, check_projector, run_reconstruction
+from .driver import ReconConfig, run_reconstruction
 from .phantom import (
     NoiseSpec,
+    PhantomSpec,
     add_poisson_noise,
     builtin_head_phantom,
     load_phantom_spec,
@@ -100,24 +102,23 @@ window = 0 100
 diff_window = -25 25
 """
 
-# --desk: CI-sized variant of the same experiment
-DESK_OVERRIDES = {
-    ("grid", "width"): "256",
-    ("grid", "height"): "256",
-    ("grid", "pixel_size"): "1.0",
-    ("geometry", "detector_channels"): "384",
-    ("geometry", "channel_size"): "1.0",
-    ("recon", "iterations"): "200",
-}
+# --desk: CI-sized variant of the same experiment, applied before any --set
+DESK_SETS = [
+    "grid.width=256",
+    "grid.height=256",
+    "grid.pixel_size=1.0",
+    "geometry.detector_channels=384",
+    "geometry.channel_size=1.0",
+    "recon.iterations=200",
+]
 
 
 @dataclass
 class ExperimentConfig:
-    phantom_spec: str
+    phantom: PhantomSpec
     noise: NoiseSpec | None
     recon: ReconConfig
-    roi_mode: str  # builtin | none | mm
-    roi_mm: tuple[float, float, float, float] | None
+    roi: RoiRect | None  # on the recon grid; None logs full-image RMSE only
     window: tuple[float, float]
     diff_window: tuple[float, float]
     output_dir: Path
@@ -130,7 +131,7 @@ def _parser_with_defaults() -> configparser.ConfigParser:
     return cp
 
 
-def _load_ini(config_path, sets=(), desk=False) -> configparser.ConfigParser:
+def _load_ini(config_path, sets=()) -> configparser.ConfigParser:
     cp = _parser_with_defaults()
     path = Path(config_path)
     try:
@@ -141,9 +142,6 @@ def _load_ini(config_path, sets=(), desk=False) -> configparser.ConfigParser:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if desk:
-        for (section, key), value in DESK_OVERRIDES.items():
-            cp.set(section, key, value)
     for assignment in sets:
         if "=" not in assignment:
             raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
@@ -168,8 +166,15 @@ def _get(cp, section, key, convert, kind):
         raise ConfigError(f"{section}.{key}: expected {kind}, got {raw!r}") from None
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 def _get_float(cp, section, key) -> float:
-    return _get(cp, section, key, float, "a number")
+    return _get(cp, section, key, _finite, "a finite number")
 
 
 def _integral(raw: str) -> int:
@@ -183,13 +188,28 @@ def _get_int(cp, section, key) -> int:
     return _get(cp, section, key, _integral, "an integer")
 
 
-def _get_pair(cp, section, key) -> tuple[float, float]:
+def _get_window(cp, key) -> tuple[float, float]:
     def conv(raw):
         parts = raw.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(raw)
-        return float(parts[0]), float(parts[1])
-    return _get(cp, section, key, conv, "two numbers")
+        low, high = _finite(parts[0]), _finite(parts[1])
+        if not low < high:
+            raise ValueError(raw)
+        return low, high
+    return _get(cp, "output", key, conv, "two finite numbers, low < high")
+
+
+def _load_phantom(spec: str):
+    """The built-in head phantom, or the phantom spec file at ``spec``."""
+    if spec.lower() == "builtin":
+        return builtin_head_phantom()
+    try:
+        return load_phantom_spec(spec)
+    except OSError as exc:
+        raise ConfigError(f"phantom.spec: cannot read {spec}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"phantom.spec: {exc}") from None
 
 
 def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
@@ -212,7 +232,7 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
         noise = None
     else:
         try:
-            noise = NoiseSpec(float(photons_raw), seed)
+            noise = NoiseSpec(_get_float(cp, "noise", "photons"), seed)
         except ValueError as exc:
             raise ConfigError(f"noise.photons: {exc}") from None
 
@@ -247,86 +267,62 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
             iterations=_get_int(cp, "recon", "iterations"),
         )
     except ValueError as exc:
-        raise ConfigError(f"recon: {exc}") from None
+        field = str(exc).split()[0]
+        key = f"grid.{field}" if field in ("width", "height", "pixel_size") else "recon"
+        raise ConfigError(f"{key}: {exc}") from None
 
+    spec = _load_phantom(cp.get("phantom", "spec").strip())
     roi_raw = cp.get("roi", "region").strip().lower()
     roi_mm = None
     if roi_raw == "builtin":
-        roi_mode = "builtin"
-    elif roi_raw in ("none", ""):
-        roi_mode = "none"
-    else:
-        roi_mode = "mm"
+        roi_mm = spec.roi_mm
+        if roi_mm is None:
+            log.warning("phantom publishes no ROI; RMSE is logged full-image only")
+    elif roi_raw not in ("none", ""):
         parts = roi_raw.replace(",", " ").split()
         if len(parts) != 4:
             raise ConfigError("roi.region: expected `builtin`, `none`, or 4 numbers")
         try:
-            roi_mm = tuple(float(p) for p in parts)
+            roi_mm = tuple(_finite(p) for p in parts)
         except ValueError:
-            raise ConfigError(f"roi.region: expected numbers, got {roi_raw!r}") from None
+            raise ConfigError(
+                f"roi.region: expected finite numbers, got {roi_raw!r}"
+            ) from None
+    roi = None
+    if roi_mm is not None:
+        try:
+            roi = roi_rect_for_grid(roi_mm, recon.width, recon.height, recon.pixel_size)
+        except ValueError as exc:
+            raise ConfigError(f"roi.region: {exc}") from None
 
     return ExperimentConfig(
-        phantom_spec=cp.get("phantom", "spec").strip(),
+        phantom=spec,
         noise=noise,
         recon=recon,
-        roi_mode=roi_mode,
-        roi_mm=roi_mm,
-        window=_get_pair(cp, "output", "window"),
-        diff_window=_get_pair(cp, "output", "diff_window"),
+        roi=roi,
+        window=_get_window(cp, "window"),
+        diff_window=_get_window(cp, "diff_window"),
         output_dir=Path(cp.get("output", "dir")),
         resolved=cp,
     )
 
 
-def _load_phantom(spec: str):
-    """The built-in head phantom, or the phantom spec file at ``spec``."""
-    if spec.lower() == "builtin":
-        return builtin_head_phantom()
-    try:
-        return load_phantom_spec(spec)
-    except OSError as exc:
-        raise ConfigError(f"phantom.spec: cannot read {spec}: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"phantom.spec: {exc}") from None
-
-
-def _resolve_roi(cfg: ExperimentConfig, spec) -> RoiRect | None:
-    if cfg.roi_mode == "none":
-        return None
-    roi_mm = cfg.roi_mm if cfg.roi_mode == "mm" else spec.roi_mm
-    if roi_mm is None:
-        log.warning("phantom publishes no ROI; RMSE is logged full-image only")
-        return None
-    recon = cfg.recon
-    try:
-        return roi_rect_for_grid(roi_mm, recon.width, recon.height, recon.pixel_size)
-    except ValueError as exc:
-        raise ConfigError(f"roi.region: {exc}") from None
-
-
-def run_experiment(config_path, sets=(), desk=False,
-                   projector: Projector | None = None) -> Path:
+def run_experiment(config_path, sets=()) -> Path:
     """Execute one configured reconstruction; returns the output directory."""
-    cfg = build_experiment(_load_ini(config_path, sets, desk))
-    spec = _load_phantom(cfg.phantom_spec)
-    roi = _resolve_roi(cfg, spec)
-    recon, geom = cfg.recon, cfg.recon.geometry
-    if projector is not None:
-        check_projector(projector, recon)
-
+    cfg = build_experiment(_load_ini(config_path, sets))
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config_echo.ini", "w") as fh:
         cfg.resolved.write(fh)
 
+    recon, geom = cfg.recon, cfg.recon.geometry
     log.info("rasterizing phantom (%dx%d at %g mm)", recon.width, recon.height,
              recon.pixel_size)
-    truth = rasterize(spec, recon.width, recon.height, recon.pixel_size)
+    truth = rasterize(cfg.phantom, recon.width, recon.height, recon.pixel_size)
     write_raw_image(out / "ground_truth.raw", truth)
     write_pgm16(out / "ground_truth.pgm", truth, cfg.window)
 
-    if projector is None:
-        projector = Projector(geom, recon.width, recon.height, recon.pixel_size)
+    projector = Projector(geom, recon.width, recon.height, recon.pixel_size)
     log.info("simulating %d views x %d channels", geom.num_views, geom.detector_channels)
     clean = Sinogram(geom.num_views, geom.detector_channels,
                      geom.view_angles_deg(), projector.forward(truth.data))
@@ -343,7 +339,7 @@ def run_experiment(config_path, sets=(), desk=False,
     algorithm = recon.algorithm
     log.info("reconstructing with %s (%d iterations)", algorithm, recon.iterations)
     image, conv_log = run_reconstruction(recon, measured, reference=truth,
-                                         roi=roi, projector=projector)
+                                         roi=cfg.roi, projector=projector)
     write_raw_image(out / f"recon_{algorithm}.raw", image)
     write_pgm16(out / f"recon_{algorithm}.pgm", image, cfg.window)
     diff = image.data - truth.data
@@ -389,7 +385,7 @@ def compare_runs(log_paths, out_path) -> int:
 
 
 def _cmd_run(args) -> int:
-    run_experiment(args.config, sets=args.set, desk=args.desk)
+    run_experiment(args.config, sets=(DESK_SETS if args.desk else []) + args.set)
     return 0
 
 

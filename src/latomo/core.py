@@ -13,6 +13,7 @@ display/metric convention converted at the boundaries.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -98,10 +99,13 @@ class Sinogram:
         if self.num_views > 1 and not np.all(np.diff(angles) > 0):
             raise ValueError("view_angles must be strictly increasing")
         arr = np.asarray(self.data, dtype=np.float64)
-        if arr.size != self.num_views * self.num_channels:
-            raise ValueError("sinogram data size mismatch")
+        if arr.shape != (self.num_views, self.num_channels):
+            raise ValueError(
+                f"data shape {arr.shape} != (num_views, num_channels) "
+                f"{(self.num_views, self.num_channels)}"
+            )
         object.__setattr__(self, "view_angles", angles)
-        object.__setattr__(self, "data", arr.reshape(self.num_views, self.num_channels))
+        object.__setattr__(self, "data", arr)
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,15 @@ class FanBeamGeometry:
     angle_increment: float
 
     def __post_init__(self):
-        if not (0 < self.source_to_isocenter < self.source_to_detector):
-            raise ValueError("require 0 < source_to_isocenter < source_to_detector")
-        if self.detector_channels < 1 or self.channel_size <= 0:
+        # `not a < b` forms, so NaN fails every check
+        if not 0 < self.source_to_isocenter < self.source_to_detector < math.inf:
+            raise ValueError(
+                "require 0 < source_to_isocenter < source_to_detector < inf"
+            )
+        if self.detector_channels < 1 or not 0 < self.channel_size < math.inf:
             raise ValueError("invalid detector description")
-        if self.angle_increment <= 0 or self.angle_end < self.angle_start:
+        if not (0 < self.angle_increment < math.inf
+                and -math.inf < self.angle_start <= self.angle_end < math.inf):
             raise ValueError("invalid angular range")
 
     @property
@@ -214,12 +222,6 @@ def read_raw(path) -> tuple[np.ndarray, float]:
 
 def write_raw_image(path, img: ImageGrid):
     write_raw(path, img.data, img.pixel_size)
-
-
-def read_raw_image(path) -> ImageGrid:
-    data, pixel_size = read_raw(path)
-    height, width = data.shape
-    return ImageGrid(width, height, pixel_size, data.astype(np.float64))
 
 
 def write_raw_sinogram(path, sino: Sinogram, channel_size: float = 0.0):

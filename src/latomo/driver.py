@@ -47,10 +47,6 @@ class ScaleSchedule:
 
     entries: tuple[tuple[int, int], ...]
 
-    @property
-    def total_steps(self) -> int:
-        return sum(m for _, m in self.entries)
-
 
 def make_scale_schedule(l_max: int, total_steps: int = 10,
                         budgets=None) -> ScaleSchedule:
@@ -205,15 +201,6 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarra
     return f, tuple(sizes_all)
 
 
-def check_projector(projector: Projector, config: ReconConfig):
-    """Rejects a prebuilt projector that differs from ``config``'s grid or
-    scan geometry, naming the first field that differs."""
-    field = projector.mismatch(config.width, config.height, config.pixel_size,
-                               config.geometry)
-    if field is not None:
-        raise ValueError(f"prebuilt projector {field} does not match the configuration")
-
-
 def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
                        reference: ImageGrid | None = None,
                        roi: RoiRect | None = None,
@@ -221,19 +208,30 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
                        on_iteration=None) -> tuple[ImageGrid, ConvergenceLog]:
     """Reconstruct from ``sinogram`` starting at the zero image.
 
-    ``reference``/``roi`` enable the RMSE columns of the log.  A prebuilt
-    ``projector`` (matching geometry and grid) can be shared across runs to
-    reuse its traced rays.  ``on_iteration(index, values)`` is called with
-    the image array after every outer iteration.
+    ``reference`` (on the configured grid) and ``roi`` enable the RMSE
+    columns of the log.  A prebuilt ``projector`` (matching geometry and
+    grid) can be shared across runs to reuse its traced rays.
+    ``on_iteration(index, values)`` is called with the image array after
+    every outer iteration.
     """
     geom = config.geometry
     _check_sinogram(geom, sinogram)
+    grid = (config.width, config.height, config.pixel_size)
     if projector is None:
-        projector = Projector(geom, config.width, config.height, config.pixel_size)
+        projector = Projector(geom, *grid)
     else:
-        check_projector(projector, config)
-    if reference is not None and roi is not None:
-        roi.validate_for(config.width, config.height)
+        field = projector.mismatch(*grid, geom)
+        if field is not None:
+            raise ValueError(
+                f"prebuilt projector {field} does not match the configuration"
+            )
+    if reference is not None:
+        reference_grid = (reference.width, reference.height, reference.pixel_size)
+        if reference_grid != grid:
+            raise ValueError(f"reference (width, height, pixel_size) {reference_grid}"
+                             f" != configured {grid}")
+        if roi is not None:
+            roi.validate_for(config.width, config.height)
 
     f = np.zeros((config.height, config.width))
     log = ConvergenceLog()

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .core import MU_PER_HU
-from .tv import LineSearchParams, RowOperator, descent_steps, row_operator, tv_weights
+from .tv import LineSearchParams, descent_steps, row_operator, tv_weights
 
 
 def binomial_kernel(s: int) -> np.ndarray:
@@ -42,12 +42,6 @@ def derivative_kernel(s: int) -> tuple[np.ndarray, int]:
     return taps, s
 
 
-def y_operator(kernel: tuple[np.ndarray, int], height: int) -> RowOperator:
-    """The Y operator of a ``(taps, anchor)`` kernel on a grid of ``height``
-    rows, with edge-clamped taps."""
-    return row_operator(*kernel, height)
-
-
 def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
                 params: LineSearchParams) -> tuple[np.ndarray, list[float]]:
     """Weights from the scale-s operator, frozen for ``steps`` descent
@@ -55,6 +49,6 @@ def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
     if steps < 1:
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
-    yop = y_operator(derivative_kernel(s), f.shape[0])
+    yop = row_operator(*derivative_kernel(s), f.shape[0])
     w = tv_weights(f, MU_PER_HU * eps_hu, yop)
     return descent_steps(f, w, yop, steps, params, MU_PER_HU * eps_hu)

@@ -22,9 +22,16 @@ from latomo.phantom import (
     roi_rect_for_grid,
 )
 from latomo.projector import Projector
-from latomo.ssatv1 import binomial_kernel, derivative_kernel, y_operator
+from latomo.ssatv1 import binomial_kernel, derivative_kernel
 from latomo.ssatv2 import down_sampler
-from latomo.tv import forward_diff_op, tv_gradient, tv_value, tv_weights, update_weights
+from latomo.tv import (
+    forward_diff_op,
+    row_operator,
+    tv_gradient,
+    tv_value,
+    tv_weights,
+    update_weights,
+)
 
 DESK_SIZE = 256
 DESK_PIXEL = 1.0
@@ -132,7 +139,7 @@ class TestCriterion2Gradients:
     @pytest.mark.parametrize("s", (2, 4))
     def test_ssatv1_gradient(self, s):
         rng = np.random.default_rng(202 + s)
-        yop = y_operator(derivative_kernel(s), 8)
+        yop = row_operator(*derivative_kernel(s), 8)
         worst = 0.0
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))

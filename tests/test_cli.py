@@ -1,12 +1,19 @@
+import configparser
+import dataclasses
 import logging
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latomo.cli import (
+    DEFAULT_CONFIG,
+    DESK_SETS,
     ConfigError,
     build_experiment,
     compare_runs,
@@ -14,7 +21,8 @@ from latomo.cli import (
     run_experiment,
     _load_ini,
 )
-from latomo.projector import Projector
+from latomo.core import read_raw
+from latomo.phantom import builtin_head_phantom, roi_rect_for_grid
 
 TINY = """\
 [grid]
@@ -56,7 +64,7 @@ class TestConfigParsing:
     def test_desk_preset(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
-        cfg = build_experiment(_load_ini(path, desk=True))
+        cfg = build_experiment(_load_ini(path, DESK_SETS))
         assert cfg.recon.width == 256 and cfg.recon.pixel_size == 1.0
         assert cfg.recon.geometry.detector_channels == 384
         assert cfg.recon.iterations == 200
@@ -110,11 +118,87 @@ class TestConfigParsing:
 
     def test_roi_modes(self, tmp_path):
         path = write_config(tmp_path)
-        assert build_experiment(_load_ini(path)).roi_mode == "builtin"
+        assert build_experiment(_load_ini(path)).roi == roi_rect_for_grid(
+            builtin_head_phantom().roi_mm, 48, 48, 4.0)
         cfg = build_experiment(_load_ini(path, sets=["roi.region=none"]))
-        assert cfg.roi_mode == "none"
+        assert cfg.roi is None
         cfg = build_experiment(_load_ini(path, sets=["roi.region=-10 -50 10 -30"]))
-        assert cfg.roi_mode == "mm" and cfg.roi_mm == (-10.0, -50.0, 10.0, -30.0)
+        assert cfg.roi == roi_rect_for_grid((-10.0, -50.0, 10.0, -30.0), 48, 48, 4.0)
+
+    def test_desk_sets_yield_to_user_sets(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[output]\ndir = x\n")
+        cfg = build_experiment(_load_ini(path, DESK_SETS + ["grid.width=128"]))
+        assert cfg.recon.width == 128 and cfg.recon.height == 256
+
+
+# One `--set` on top of a runnable config; each case once passed
+# build_experiment and failed later, after files were written, or not at all.
+BAD_VALUES = [
+    ("geometry.channel_size=nan", "geometry.channel_size"),
+    ("geometry.angle_start=nan", "geometry.angle_start"),
+    ("geometry.angle_increment=nan", "geometry.angle_increment"),
+    ("geometry.angle_end=inf", "geometry.angle_end"),
+    ("geometry.source_to_detector=inf", "geometry.source_to_detector"),
+    ("noise.photons=inf", "noise.photons"),
+    ("recon.eps_hu=inf", "recon.eps_hu"),
+    ("recon.t0=inf", "recon.t0"),
+    ("roi.region=-10 nan 10 -30", "roi.region"),
+    ("output.window=0 inf", "output.window"),
+    ("output.window=100 0", "output.window"),
+    ("output.diff_window=5 5", "output.diff_window"),
+]
+
+
+@pytest.mark.parametrize("assignment, key", BAD_VALUES,
+                         ids=[a for a, _ in BAD_VALUES])
+def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
+    path = write_config(tmp_path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
+        build_experiment(_load_ini(path, [assignment]))
+    assert main(["run", str(path), "--set", assignment]) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _floats(value):
+    """Every float inside a (nested) dataclass, tuple or number."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _floats(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _floats(item)
+    elif isinstance(value, float):
+        yield value
+
+
+_DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
+_DEFAULTS.read_string(DEFAULT_CONFIG)
+CONFIG_KEYS = [f"{section}.{key}" for section in _DEFAULTS.sections()
+               for key in _DEFAULTS[section]]
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "", "x", "3 2", "5 5"]),
+    st.floats().map(repr),
+    st.integers().map(str),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(CONFIG_KEYS), value=CONFIG_VALUES)
+def test_every_override_is_valid_or_names_its_section(tmp_path_factory, key, value):
+    path = tmp_path_factory.getbasetemp() / "override.ini"
+    if not path.exists():
+        path.write_text("[output]\ndir = out\n")
+    sets = ["roi.region=none", f"{key}={value}"]
+    try:
+        cfg = build_experiment(_load_ini(path, sets))
+    except ConfigError as exc:
+        assert str(exc).startswith(key.split(".")[0]), (key, value, str(exc))
+        return
+    assert all(math.isfinite(x) for x in _floats((cfg.recon, cfg.noise))), (key, value)
+    for low, high in (cfg.window, cfg.diff_window):
+        assert math.isfinite(low) and math.isfinite(high) and low < high, (key, value)
 
 
 class TestRunExperiment:
@@ -139,15 +223,6 @@ class TestRunExperiment:
             assert (out / name).exists(), name
         assert not (out / "sinogram_noisy.raw").exists()
 
-    def test_mismatched_projector_rejected_before_any_write(self, tmp_path):
-        path = write_config(tmp_path)
-        geometry = build_experiment(_load_ini(path)).recon.geometry
-        projector = Projector(geometry, 48, 48, 2.0)  # the config says 4 mm
-        with pytest.raises(ValueError, match="pixel_size"):
-            run_experiment(path, projector=projector)
-        assert not (tmp_path / "out").exists()
-        assert projector.nbytes == 0
-
     def test_too_short_pyramid_rejected_before_any_write(self, tmp_path):
         # 16 rows at scale 16 leave one coarse row
         path = write_config(tmp_path)
@@ -160,9 +235,10 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("assignment, message", [
-        ("grid.width=0", "width must be >= 1"),
-        ("grid.pixel_size=-1", "pixel_size must be > 0"),
-    ], ids=["width", "pixel_size"])
+        ("grid.width=0", "grid.width: width must be >= 1"),
+        ("grid.height=0", "grid.height: height must be >= 1"),
+        ("grid.pixel_size=-1", "grid.pixel_size: pixel_size must be > 0"),
+    ], ids=["width", "height", "pixel_size"])
     def test_bad_grid_rejected_before_any_write(self, tmp_path, capsys,
                                                 assignment, message):
         # once failed only after config_echo.ini was written
@@ -260,9 +336,9 @@ class TestMain:
                      "--height", "64", "--pixel-size", "3.0", "--pgm", str(pgm)])
         assert code == 0
         assert out.exists() and pgm.exists()
-        from latomo.core import read_raw_image
-        img = read_raw_image(out)
-        assert img.width == 64 and img.data.max() > 0.03  # skull present
+        data, pixel_size = read_raw(out)
+        assert data.shape == (64, 64) and pixel_size == 3.0
+        assert data.max() > 0.03  # skull present
 
     def test_phantom_subcommand_missing_spec_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.spec"

@@ -13,7 +13,6 @@ from latomo.core import (
     hu_to_mu,
     mu_to_hu,
     read_raw,
-    read_raw_image,
     roi_rmse,
     write_pgm16,
     write_raw_image,
@@ -122,9 +121,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             Sinogram(2, 3, np.array([10.0, 10.0]), np.zeros((2, 3)))
 
+    def test_sinogram_rejects_wrong_shape(self):
+        # a transposed (channels, views) array was once silently reshaped
+        with pytest.raises(ValueError, match=r"\(3, 2\) != .* \(2, 3\)"):
+            Sinogram(2, 3, [0.0, 1.0], np.arange(6.0).reshape(3, 2))
+
     def test_geometry_distance_ordering(self):
         with pytest.raises(ValueError):
             FanBeamGeometry(500, 600, 8, 1.0, 0, 90, 1)
+
+    @pytest.mark.parametrize("field", [
+        "source_to_detector", "source_to_isocenter", "channel_size",
+        "angle_start", "angle_end", "angle_increment",
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_geometry_rejects_non_finite(self, field, value):
+        good = dict(source_to_detector=1088.0, source_to_isocenter=544.0,
+                    detector_channels=8, channel_size=1.0, angle_start=10.0,
+                    angle_end=170.0, angle_increment=1.0)
+        FanBeamGeometry(**good)
+        with pytest.raises(ValueError):
+            FanBeamGeometry(**{**good, field: value})
 
     def test_geometry_view_count(self):
         geom = FanBeamGeometry(1088, 544, 768, 0.5, 10, 170, 1)
@@ -161,14 +178,6 @@ class TestRawFormat:
         path.write_bytes(b"\0" * 10)
         with pytest.raises(ValueError):
             read_raw(path)
-
-    def test_read_image_wrapper(self, tmp_path):
-        img = ImageGrid(3, 3, 2.0, np.full((3, 3), 0.01))
-        path = tmp_path / "img.raw"
-        write_raw_image(path, img)
-        back = read_raw_image(path)
-        assert back.width == 3 and back.pixel_size == 2.0
-        npt.assert_allclose(back.data, 0.01, rtol=1e-6)
 
 
 class TestPgm:

@@ -51,7 +51,7 @@ class TestScaleSchedule:
 
     def test_budgets_sum_to_total(self):
         for l_max in range(1, 6):
-            assert make_scale_schedule(l_max).total_steps == 10
+            assert sum(m for _, m in make_scale_schedule(l_max).entries) == 10
 
     def test_custom_budget_must_sum(self):
         with pytest.raises(ValueError, match="budgets"):
@@ -211,6 +211,20 @@ class TestRunReconstruction:
         _, log_full = run_reconstruction(cfg, sino, reference=truth, roi=roi,
                                          projector=projector)
         assert log_full.rows[0].roi_rmse_hu is not None
+
+    @pytest.mark.parametrize("size, pixel_size", [(32, 2.0), (64, 4.0)],
+                             ids=["size", "pixel_size"])
+    def test_mismatched_reference_rejected(self, small_scene, size, pixel_size):
+        # a 32^2 reference once failed only after the first sweep; a 4 mm one
+        # was compared pixel for pixel with the 2 mm reconstruction
+        truth, projector, sino, roi = small_scene
+        reference = rasterize(builtin_head_phantom(), size, size, pixel_size)
+        sweeps = []
+        with pytest.raises(ValueError, match="reference"):
+            run_reconstruction(config("sart"), sino, reference=reference,
+                               projector=projector,
+                               on_iteration=lambda n, f: sweeps.append(n))
+        assert sweeps == []
 
     def test_sinogram_mismatch_rejected(self, small_scene):
         truth, projector, sino, roi = small_scene

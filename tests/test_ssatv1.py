@@ -7,12 +7,12 @@ from latomo.ssatv1 import (
     binomial_kernel,
     derivative_kernel,
     ssatv1_pass,
-    y_operator,
 )
 from latomo.tv import (
     LineSearchParams,
     descent_steps,
     forward_diff_op,
+    row_operator,
     tv_gradient,
     tv_value,
     tv_weights,
@@ -24,7 +24,7 @@ DELTA_MU = MU_PER_HU * 5.0
 
 
 def yop(f, kernel):
-    return y_operator(kernel, f.shape[0])
+    return row_operator(*kernel, f.shape[0])
 
 
 def aniso_value(f, w, kernel, delta_mu=0.0):
