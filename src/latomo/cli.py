@@ -234,7 +234,8 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
         try:
             noise = NoiseSpec(_get_float(cp, "noise", "photons"), seed)
         except ValueError as exc:
-            raise ConfigError(f"noise.photons: {exc}") from None
+            key = "noise.seed" if str(exc).startswith("rng_seed") else "noise.photons"
+            raise ConfigError(f"{key}: {exc}") from None
 
     budgets_raw = cp.get("recon", "budgets").strip()
     budgets = None

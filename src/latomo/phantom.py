@@ -8,6 +8,7 @@ rasterization is exact for the painting order and reproducible across runs.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +61,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.incident_photons > 0:
             raise ValueError("incident_photons must be > 0")
+        if (isinstance(self.rng_seed, bool)
+                or not isinstance(self.rng_seed, numbers.Integral)
+                or self.rng_seed < 0):
+            raise ValueError("rng_seed must be an integer >= 0")
 
 
 def rasterize(spec: PhantomSpec, width: int, height: int, pixel_size: float) -> ImageGrid:

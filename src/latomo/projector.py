@@ -5,9 +5,12 @@ weights are exact intersection lengths (mm) from parametric traversal of the
 pixel grid.  Each view's weights are stored as one sparse matrix
 (``scipy.sparse.csr_array``: one row per channel, one column per pixel,
 float64 weights, int32 indices), together with its row and column sums;
-the forward projection is ``A @ x`` and the back-projection the copy-free
-transpose product ``A.T @ r``, so the pair passes adjoint tests to rounding
-error.  That costs 12 bytes per traversed (ray, pixel) pair.
+the forward projection is ``A @ x`` and the back-projection ``A.T @ r``
+through the CSC transpose kept with the matrix, which shares its arrays, so
+the pair passes adjoint tests to rounding error.  That costs 12 bytes per
+traversed (ray, pixel) pair.  The column sums are kept as SART divisors:
+a pixel no ray crosses stores 1.0 in place of its zero sum, because its
+back-projected numerator is exactly 0.0 and 0.0 / 1.0 leaves it so.
 
 Mirror sharing: the grid is centered on the isocenter, so when the view
 angles pair up as ``angles[k] + angles[V-1-k] == 180`` degrees, view
@@ -24,7 +27,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from .core import FanBeamGeometry
 
@@ -60,7 +63,7 @@ class Projector:
         self.x_lo = -self.width * self.pixel_size / 2.0
         self.y_lo = -self.height * self.pixel_size / 2.0
         self.angles_deg = geom.view_angles_deg()
-        self._views: dict[int, tuple[csr_array, np.ndarray, np.ndarray]] = {}
+        self._views: dict[int, tuple[csr_array, csc_array, np.ndarray, np.ndarray]] = {}
         views = np.arange(len(self.angles_deg))
         pair_sums = self.angles_deg + self.angles_deg[::-1]
         symmetric = bool(np.all(np.abs(pair_sums - 180.0) <= _MIRROR_TOL_DEG))
@@ -101,9 +104,10 @@ class Projector:
     def _image(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64).reshape(self.height, self.width)
 
-    def _trace(self, view_index: int) -> tuple[csr_array, np.ndarray, np.ndarray]:
+    def _trace(self, view_index: int) -> tuple[csr_array, csc_array, np.ndarray, np.ndarray]:
         """One view's weights as a (channels, pixels) CSR matrix, with its
-        row sums (channels,) and column sums (height, width).
+        CSC transpose (sharing the matrix's arrays), its row sums (channels,)
+        and its column sums (height, width) with every zero replaced by 1.0.
 
         Rows are filled straight from the ray-major traversal: a pixel that
         a ray enters twice (split at its entry or exit point) keeps two
@@ -170,12 +174,15 @@ class Projector:
         indptr[1:] = np.cumsum(np.count_nonzero(valid, axis=1))
         n_pix = self.width * self.height
         matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
+        transpose = matrix.T
         row_sums = matrix @ np.ones(n_pix)
-        col_sums = (matrix.T @ np.ones(n_chan)).reshape(self.height, self.width)
-        return matrix, row_sums, col_sums
+        col_divisors = (transpose @ np.ones(n_chan)).reshape(self.height, self.width)
+        col_divisors[col_divisors == 0.0] = 1.0
+        return matrix, transpose, row_sums, col_divisors
 
-    def _stored(self, view_index: int) -> tuple[csr_array, np.ndarray, np.ndarray, bool]:
-        """(matrix, row_sums, col_sums, flipped) for one view.
+    def _stored(self, view_index: int) -> tuple[csr_array, csc_array, np.ndarray,
+                                                np.ndarray, bool]:
+        """(matrix, transpose, row_sums, col_divisors, flipped) for one view.
 
         A flipped view is the mirror image of the returned one: apply it with
         the channels reversed and the image flipped in X."""
@@ -194,23 +201,27 @@ class Projector:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the cached operator: matrices and their sums."""
+        """Bytes held by the cached operator: matrices and their sums (the
+        transposes share the matrices' arrays)."""
         return sum(
             matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-            + row_sums.nbytes + col_sums.nbytes
-            for matrix, row_sums, col_sums in self._views.values()
+            + row_sums.nbytes + col_divisors.nbytes
+            for matrix, _, row_sums, col_divisors in self._views.values()
         )
 
     # -- operator ----------------------------------------------------------
 
     def view_sums(self, view_index: int) -> ViewSums:
-        _, row_sums, col_sums, flipped = self._stored(view_index)
+        _, transpose, row_sums, _, flipped = self._stored(view_index)
+        # recomputed: the stored divisors hold 1.0 where the sum is zero
+        col_sums = (transpose @ np.ones(transpose.shape[1])).reshape(
+            self.height, self.width)
         if flipped:
             row_sums, col_sums = row_sums[::-1], col_sums[:, ::-1]
         return ViewSums(row_sums.copy(), col_sums.copy())
 
     def forward_view(self, values: np.ndarray, view_index: int) -> np.ndarray:
-        matrix, _, _, flipped = self._stored(view_index)
+        matrix, _, _, _, flipped = self._stored(view_index)
         image = self._image(values)
         if flipped:
             return (matrix @ image[:, ::-1].ravel())[::-1]
@@ -220,11 +231,11 @@ class Projector:
         residual = np.asarray(residual, dtype=np.float64)
         if residual.shape != (self.geom.detector_channels,):
             raise ValueError("residual length must equal detector_channels")
-        matrix, _, _, flipped = self._stored(view_index)
+        _, transpose, _, _, flipped = self._stored(view_index)
         if flipped:
-            back = matrix.T @ residual[::-1]
+            back = transpose @ residual[::-1]
             return back.reshape(self.height, self.width)[:, ::-1]
-        return (matrix.T @ residual).reshape(self.height, self.width)
+        return (transpose @ residual).reshape(self.height, self.width)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         out = np.empty((len(self.angles_deg), self.geom.detector_channels))
@@ -237,7 +248,7 @@ class Projector:
         """One relaxed SART step for a single view; 0/0 ratios count as 0."""
         if not 0 < relaxation <= 1:
             raise ValueError("relaxation must be in (0, 1]")
-        matrix, row_sums, col_sums, flipped = self._stored(view_index)
+        matrix, transpose, row_sums, col_divisors, flipped = self._stored(view_index)
         image = self._image(values)
         if flipped:
             image, p_view = image[:, ::-1], p_view[::-1]
@@ -245,10 +256,8 @@ class Projector:
         scaled = np.divide(
             residual, row_sums, out=np.zeros_like(residual), where=row_sums > 0,
         )
-        # A pixel with a zero column sum has no entries, so its numerator is
-        # already 0 and the in-place division may skip it.
-        update = (matrix.T @ scaled).reshape(self.height, self.width)
-        np.divide(update, col_sums, out=update, where=col_sums > 0)
+        update = (transpose @ scaled).reshape(self.height, self.width)
+        update /= col_divisors
         update *= relaxation
         update += image
         return update[:, ::-1] if flipped else update

@@ -11,6 +11,8 @@ transpose, so finite-difference checks agree to rounding error.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +41,11 @@ class LineSearchParams:
             raise ValueError("alpha must be in (0, 0.5)")
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
-        if not self.t0 > 0:
-            raise ValueError("t0 must be > 0")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError("t0 must be finite and > 0")
+        if (isinstance(self.max_shrinks, bool)
+                or not isinstance(self.max_shrinks, numbers.Integral)):
+            raise ValueError("max_shrinks must be an integer")
         if self.max_shrinks < 0:
             raise ValueError("max_shrinks must be >= 0")
 
@@ -144,31 +149,41 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
     smaller floor makes the direction a raw subgradient and stalls the
     descent orders of magnitude below any useful step size.
 
+    Each step's line search starts at the rung the previous step accepted,
+    and returns the step a scan down from ``params.t0`` returns, bit for bit.
+    Without a down-sampler the accepted trial image is the next iterate and
+    its TV value the next search's starting value, so neither is computed
+    twice.
+
     With a down-sampler ``down`` the value, weights and search live on the
     grid of ``down.apply(f)`` and each step is taken along
     ``down.apply_t(ghat)`` on the grid of ``f``.
     """
     objective = lambda arr: tv_value(arr, w, yop)
     accepted: list[float] = []
+    rung, f0 = 0, None
     for _ in range(steps):
         f_s = f if down is None else down.apply(f)
         g = tv_gradient(f_s, w, yop, delta_mu)
         ghat, converged = normalize_direction(g)
         if converged:
             break
-        t = backtracking_line_search(f_s, g, ghat, objective, params)
-        if t == 0.0:
+        step = backtracking_line_search(f_s, g, ghat, objective, params, rung, f0)
+        if step == 0.0:
             break
-        f = f - t * (ghat if down is None else down.apply_t(ghat))
+        t, rung = float(step), step.rung
         accepted.append(t)
-        if down is not None and _pullback_log.isEnabledFor(logging.DEBUG):
+        if down is None:
+            f, f0 = step.trial, step.value
+            continue
+        f = f - t * down.apply_t(ghat)
+        if _pullback_log.isEnabledFor(logging.DEBUG):
             # fine-grid update re-sampled; small excess possible by design
-            predicted = objective(f_s - t * ghat)
             realized = objective(down.apply(f))
-            if realized > predicted:
+            if realized > step.value:
                 _pullback_log.debug(
                     "coarse objective rose after pull-back: %.6g > %.6g",
-                    realized, predicted,
+                    realized, step.value,
                 )
     return f, accepted
 
@@ -189,16 +204,70 @@ def normalize_direction(g: np.ndarray) -> tuple[np.ndarray, bool]:
     return g / peak, False
 
 
+class Step(float):
+    """Step size ``t`` found by :func:`backtracking_line_search`, 0.0 when no
+    step qualifies.  It is a float, so callers that only need ``t`` use it as
+    one; an accepted step also carries where its search ended, for the next
+    search of the same descent to start from: the rung ``k`` with
+    ``t = t0*beta^k``, the trial image ``f - t*ghat`` and its objective
+    value."""
+
+    __slots__ = ("rung", "trial", "value")
+
+    def __new__(cls, t: float, rung: int | None = None,
+                trial: np.ndarray | None = None, value: float | None = None):
+        step = super().__new__(cls, t)
+        step.rung, step.trial, step.value = rung, trial, value
+        return step
+
+
+def _rung(params: LineSearchParams, k: int) -> float:
+    """t0*beta^k, always built by the same k repeated multiplications, so a
+    rung has the same bits however the search reached it."""
+    t = params.t0
+    for _ in range(k):
+        t *= params.beta
+    return t
+
+
 def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,
                              objective: Callable[[np.ndarray], float],
-                             params: LineSearchParams) -> float:
+                             params: LineSearchParams, start: int = 0,
+                             f0: float | None = None) -> Step:
     """Largest step t0*beta^k (k <= max_shrinks) with sufficient decrease of
-    ``objective`` along -ghat; returns 0.0 when no step qualifies."""
+    ``objective`` along -ghat; 0.0 when no step qualifies.
+
+    The search tries rung ``start`` (0 <= start <= max_shrinks) first.  While
+    the test fails it shrinks one rung at a time; if the first trial passes it
+    grows one rung at a time while the test still passes, never above t0.
+    When the objective is convex along the line, as the frozen-weight TV
+    value is, the rungs that pass are contiguous, so every ``start`` finds
+    the rung a scan down from t0 finds; a start near it only saves
+    evaluations.  ``f0`` is ``objective(f)`` when the caller already has it.
+    """
     slope = float(np.vdot(g, ghat))
-    f0 = objective(f)
-    t = params.t0
-    for _ in range(params.max_shrinks + 1):
-        if objective(f - t * ghat) <= f0 - params.alpha * t * slope:
-            return t
-        t *= params.beta
-    return 0.0
+    if f0 is None:
+        f0 = objective(f)
+
+    def attempt(k: int) -> Step | None:
+        t = _rung(params, k)
+        trial = f - t * ghat
+        value = objective(trial)
+        if not value <= f0 - params.alpha * t * slope:
+            return None
+        return Step(t, k, trial, value)
+
+    k = start
+    step = attempt(k)
+    if step is None:
+        while step is None and k < params.max_shrinks:
+            k += 1
+            step = attempt(k)
+        return Step(0.0) if step is None else step
+    while k > 0:
+        k -= 1
+        larger = attempt(k)
+        if larger is None:
+            break
+        step = larger
+    return step

@@ -161,6 +161,16 @@ def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_noise_seed_rejected_before_any_write(tmp_path, capsys):
+    path = write_config(tmp_path)
+    sets = ["noise.photons=1e5", "noise.seed=-1"]
+    with pytest.raises(ConfigError, match=r"^noise\.seed:"):
+        build_experiment(_load_ini(path, sets))
+    assert main(["run", str(path), "--set", sets[0], "--set", sets[1]]) == 1
+    assert "error: noise.seed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _floats(value):
     """Every float inside a (nested) dataclass, tuple or number."""
     if dataclasses.is_dataclass(value):

@@ -201,6 +201,11 @@ class TestPoissonNoise:
         with pytest.raises(ValueError):
             add_poisson_noise(sino, NoiseSpec(1e6, 0))
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True], ids=repr)
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            NoiseSpec(1e6, seed)
+
     def test_zero_count_clamp_is_logged(self, caplog):
         # a handful of photons at a thick path forces zero counts
         with caplog.at_level("WARNING", logger="latomo.phantom"):

@@ -219,10 +219,51 @@ class TestViewSums:
         proj = Projector(SMALL_GEOM, 4, 4, 2.0)
         sums = proj.view_sums(0)
         assert np.count_nonzero(sums.row_sums == 0) == 14
-        matrix, _, _, flipped = proj._stored(0)
+        matrix, _, _, _, flipped = proj._stored(0)
         assert not flipped
         entries_per_ray = np.diff(matrix.indptr)
         npt.assert_array_equal(entries_per_ray == 0, sums.row_sums == 0)
+
+
+class TestGridWiderThanFan:
+    """A 128 mm grid under a fan 63 mm wide at the isocenter: on every view
+    about 100 of the 256 pixels are crossed by no ray, so their column sums
+    are zero and SART must leave them unchanged."""
+
+    def projector(self):
+        return small_projector(16, 16, 8.0)
+
+    @pytest.mark.parametrize("view", [0, 3, 12])  # view 12 mirrors view 3
+    def test_sart_matches_dense_oracle(self, view):
+        proj = self.projector()
+        assert proj._stored(view)[-1] == (view == 12)
+        uncovered = proj.view_sums(view).col_sums == 0
+        assert np.count_nonzero(uncovered) > 80
+        assert_sart_matches_dense_oracle(proj, view, seed=22 + view)
+        f = np.random.default_rng(view).uniform(0.0, 0.04, (16, 16))
+        updated = proj.sart_update_view(f, 1.1 * proj.forward_view(f, view), view, 0.8)
+        npt.assert_array_equal(updated[uncovered], f[uncovered])
+
+    @pytest.mark.parametrize("view", [0, 3, 12])
+    def test_view_sums_keep_the_zeros(self, view):
+        proj = self.projector()
+        sums = proj.view_sums(view)
+        dense = dense_view_matrix(proj, view)
+        npt.assert_array_equal(sums.col_sums == 0, ~dense.any(axis=0).reshape(16, 16))
+        npt.assert_allclose(sums.col_sums.ravel(), dense.sum(axis=0), rtol=1e-12)
+        assert np.all(proj._stored(view)[3] > 0)
+
+    def test_transpose_shares_the_matrix_arrays(self):
+        proj = self.projector()
+        proj.forward(np.ones((16, 16)))
+        channels, pixels = SMALL_GEOM.detector_channels, 16 * 16
+        expected = 0
+        for matrix, transpose, _, _ in proj._views.values():
+            assert transpose.shape == (pixels, channels)
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(transpose, name), getattr(matrix, name))
+            expected += 12 * matrix.nnz + 4 * (channels + 1) + 8 * (channels + pixels)
+        assert proj.nbytes == expected
 
 
 DEGENERACY_GEOM = FanBeamGeometry(400.0, 200.0, 96, 1.6, 10.0, 170.0, 4.0)
@@ -236,8 +277,7 @@ MIRRORED_SCANS = {
 
 def traced_dense(proj, view_index):
     """A view's matrix traced afresh, never through its mirror partner."""
-    matrix, _, _ = proj._trace(view_index)
-    return matrix.toarray()
+    return proj._trace(view_index)[0].toarray()
 
 
 class TestMirrorSharing:
@@ -249,7 +289,7 @@ class TestMirrorSharing:
         assert proj.mirrored_views == views // 2
         rng = np.random.default_rng(18)
         for view in range(views // 2 + views % 2, views):
-            assert proj._stored(view)[3]
+            assert proj._stored(view)[-1]
             fresh = traced_dense(proj, view)
             tol = 1e-9 * fresh.max()
             # row c of the applied operator is its back-projection of e_c
@@ -280,7 +320,7 @@ class TestMirrorSharing:
 
     def test_mirrored_sart_matches_dense_oracle(self):
         proj = small_projector(8, 8, 16.0)
-        assert proj._stored(10)[3]
+        assert proj._stored(10)[-1]
         assert_sart_matches_dense_oracle(proj, 10, seed=20)
 
     @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
@@ -291,7 +331,7 @@ class TestMirrorSharing:
         proj.forward(np.ones((height, width)))
         assert len(proj._views) == -(-geom.num_views // 2)
         stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                     + r.nbytes + c.nbytes for m, r, c in proj._views.values())
+                     + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
         assert proj.nbytes == stored
 
     @pytest.mark.parametrize("geom", [
@@ -303,5 +343,5 @@ class TestMirrorSharing:
         proj.forward(np.ones((8, 8)))
         assert len(proj._views) == geom.num_views
         for view in (0, geom.num_views - 2, geom.num_views - 1):
-            assert not proj._stored(view)[3]
+            assert not proj._stored(view)[-1]
             assert_sart_matches_dense_oracle(proj, view, seed=21 + view)

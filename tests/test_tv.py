@@ -5,15 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from latomo import tv
 from latomo.core import MU_PER_HU
+from latomo.ssatv1 import derivative_kernel
+from latomo.ssatv2 import make_pyramid_level
 from latomo.tv import (
     LineSearchParams,
     backtracking_line_search,
     descent_steps,
     forward_diff_op,
     normalize_direction,
+    row_operator,
     tv_gradient,
     tv_value,
+    tv_weights,
     update_weights,
 )
 
@@ -256,6 +261,17 @@ class TestLineSearch:
             LineSearchParams(max_shrinks=-1)
         assert LineSearchParams(max_shrinks=0).max_shrinks == 0
 
+    @pytest.mark.parametrize("t0", [np.inf, np.nan], ids=repr)
+    def test_rejects_non_finite_t0(self, t0):
+        with pytest.raises(ValueError, match="t0"):
+            LineSearchParams(t0=t0)
+
+    @pytest.mark.parametrize("max_shrinks", [2.5, 3.0, True], ids=repr)
+    def test_rejects_max_shrinks_that_is_not_an_integer(self, max_shrinks):
+        with pytest.raises(ValueError, match="max_shrinks"):
+            LineSearchParams(max_shrinks=max_shrinks)
+        assert LineSearchParams(max_shrinks=np.int64(3)).max_shrinks == 3
+
 
 class TestWtvRegularize:
     def test_constant_image_unchanged(self):
@@ -290,3 +306,170 @@ class TestWtvRegularize:
         out = wtv_pass(f, 5.0, 10, LineSearchParams())
         off_edge = (slice(None), slice(0, 6))
         assert out[off_edge].var() < f[off_edge].var()
+
+
+def cold_search(f, g, ghat, objective, params):
+    """The line search as a plain scan down from t0, every search afresh."""
+    slope = float(np.vdot(g, ghat))
+    f0 = objective(f)
+    t = params.t0
+    for _ in range(params.max_shrinks + 1):
+        if objective(f - t * ghat) <= f0 - params.alpha * t * slope:
+            return t
+        t *= params.beta
+    return 0.0
+
+
+def cold_descent(f, w, yop, steps, params, delta_mu, down=None):
+    """The descent loop with every search a cold scan and every iterate and
+    starting value recomputed."""
+    objective = lambda arr: tv_value(arr, w, yop)
+    accepted = []
+    for _ in range(steps):
+        f_s = f if down is None else down.apply(f)
+        g = tv_gradient(f_s, w, yop, delta_mu)
+        ghat, converged = normalize_direction(g)
+        if converged:
+            break
+        t = cold_search(f_s, g, ghat, objective, params)
+        if t == 0.0:
+            break
+        f = f - t * (ghat if down is None else down.apply_t(ghat))
+        accepted.append(t)
+    return f, accepted
+
+
+def rung_of(t, params):
+    """k with t == t0*beta^k, the product taken one factor at a time."""
+    k, rung = 0, params.t0
+    while rung != t:
+        assert k < params.max_shrinks, t
+        rung *= params.beta
+        k += 1
+    return k
+
+
+def descent_case(name, n=32):
+    """(image, weights, Y operator, down-sampler) of one regularizer's
+    frozen-weight descent on a noisy disk above a step."""
+    rng = np.random.default_rng(31)
+    y, x = np.mgrid[:n, :n]
+    f = np.where((x - n / 2) ** 2 + (y - n / 2) ** 2 < (n / 3) ** 2, 0.021, 0.0)
+    f = f + np.where(y > 2 * n // 3, 0.005, 0.0) + rng.normal(0.0, 5e-4, f.shape)
+    variant, _, scale = name.partition("-s")
+    if variant == "wtv":
+        return f, update_weights(f, 5.0), forward_diff_op(n), None
+    if variant == "ssatv1":
+        yop = row_operator(*derivative_kernel(int(scale)), n)
+        return f, tv_weights(f, DELTA_MU, yop), yop, None
+    level = make_pyramid_level(f, int(scale), 5.0)
+    return f, level.weights, forward_diff_op(level.sampler.shape[0]), level.sampler
+
+
+DESCENT_CASES = ["wtv", "ssatv1-s2", "ssatv1-s8", "ssatv2-s2", "ssatv2-s4"]
+
+
+class TestWarmStartedSearch:
+    """Each search of a descent starts at the previous accepted rung and
+    still returns the cold scan's step, bit for bit."""
+
+    # f = 0 towards 1 along a unit direction: (t - 1)^2 passes the test with
+    # alpha 0.3 for t <= 1.4, i.e. from rung 4 (10 * 0.6^4 = 1.296) on
+    PARAMS = LineSearchParams(alpha=0.3, beta=0.6, t0=10.0, max_shrinks=30)
+
+    @staticmethod
+    def quadratic(evaluations):
+        def objective(arr):
+            evaluations.append(arr)
+            return float((arr[0, 0] - 1.0) ** 2)
+        f = np.array([[0.0]])
+        g = np.array([[-2.0]])
+        return f, g, normalize_direction(g)[0], objective
+
+    @pytest.mark.parametrize("start", range(9))
+    def test_every_start_finds_the_cold_rung(self, start):
+        f, g, ghat, objective = self.quadratic([])
+        step = backtracking_line_search(f, g, ghat, objective, self.PARAMS, start)
+        assert step == cold_search(f, g, ghat, objective, self.PARAMS)
+        assert step.rung == 4
+        npt.assert_array_equal(step.trial, f - float(step) * ghat)
+        assert step.value == objective(step.trial)
+
+    def test_growing_four_rungs(self):
+        evaluations = []
+        f, g, ghat, objective = self.quadratic(evaluations)
+        step = backtracking_line_search(f, g, ghat, objective, self.PARAMS, 8)
+        assert step.rung == 4
+        # f0, rungs 8..4 passing, rung 3 failing
+        assert len(evaluations) == 1 + 5 + 1
+
+    @pytest.mark.parametrize("start", [1, 5])
+    def test_grown_rung_has_the_scan_bits(self, start):
+        # 4e-4 * 0.7 / 0.7 != 4e-4: a rung grown by division would differ
+        params = LineSearchParams(alpha=0.3, beta=0.7, t0=4e-4, max_shrinks=30)
+        f, g, ghat, objective = self.quadratic([])
+        step = backtracking_line_search(f, g, ghat, objective, params, start)
+        assert float(step) == params.t0 and step.rung == 0
+
+    @pytest.mark.parametrize("start", range(4))
+    def test_failed_search_from_any_start(self, start):
+        evaluations = []
+        f, g, ghat, objective = self.quadratic(evaluations)
+        params = LineSearchParams(alpha=0.3, beta=0.6, t0=10.0, max_shrinks=3)
+        step = backtracking_line_search(f, g, ghat, objective, params, start, f0=1.0)
+        # given f0, only rungs start..3 are evaluated
+        assert len(evaluations) == 4 - start
+        assert step == 0.0 == cold_search(f, g, ghat, objective, params)
+
+    @pytest.mark.parametrize("case", DESCENT_CASES)
+    @pytest.mark.parametrize("max_shrinks", [30, 1])
+    def test_descent_matches_cold_scan(self, case, max_shrinks):
+        f, w, yop, down = descent_case(case)
+        params = LineSearchParams(max_shrinks=max_shrinks)
+        got, got_steps = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        want, want_steps = cold_descent(f, w, yop, 20, params, DELTA_MU, down)
+        assert got_steps == want_steps
+        npt.assert_array_equal(got, want)
+        # with one shrink allowed, every case ends on a failed search
+        assert (len(want_steps) < 20) == (max_shrinks == 1)
+
+    def test_a_descent_step_grows_two_rungs(self):
+        f, w, yop, down = descent_case("ssatv2-s4")
+        params = LineSearchParams()
+        _, accepted = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        rungs = [rung_of(t, params) for t in accepted]
+        assert any(a - b >= 2 for a, b in zip(rungs, rungs[1:])), rungs
+
+    @pytest.mark.parametrize("case", DESCENT_CASES)
+    def test_evaluations_per_search(self, case, monkeypatch):
+        """A search costs one TV value per rung it tries, plus f0 when the
+        iterate is not the previous accepted trial: a repeated rung costs 2
+        values without a down-sampler and 3 with one."""
+        per_search = []
+        real_value, real_search = tv.tv_value, tv.backtracking_line_search
+
+        def value(*args, **kwargs):
+            per_search[-1] += 1
+            return real_value(*args, **kwargs)
+
+        def search(*args, **kwargs):
+            per_search.append(0)
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(tv, "tv_value", value)
+        monkeypatch.setattr(tv, "backtracking_line_search", search)
+        f, w, yop, down = descent_case(case)
+        params = LineSearchParams()
+        _, accepted = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        assert len(per_search) == len(accepted) == 20
+        start, repeated = 0, []
+        for i, (t, evaluations) in enumerate(zip(accepted, per_search)):
+            k = rung_of(t, params)
+            tried = k - start + 1 if k > start else start - k + 1 + (k > 0)
+            assert evaluations == (i == 0 or down is not None) + tried
+            if i and k == start > 0:
+                repeated.append(evaluations)
+            start = k
+        assert repeated and set(repeated) == {2 if down is None else 3}
+        cold = sum(2 + rung_of(t, params) for t in accepted)
+        assert sum(per_search) < cold
