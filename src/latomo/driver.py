@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import MU_PER_HU, FanBeamGeometry, ImageGrid, RoiRect, Sinogram, roi_rmse
+from .core import FanBeamGeometry, ImageGrid, RoiRect, Sinogram, roi_rmse
 from .projector import Projector
 from .ssatv1 import ssatv1_pass
 from .ssatv2 import make_pyramid_level, ssatv2_pass
@@ -26,7 +27,7 @@ from .tv import (
     descent_steps,
     forward_diff_op,
     tv_value,
-    update_weights,
+    tv_weights,
 )
 
 ALGORITHMS = ("sart", "wtv", "ssatv1", "ssatv2")
@@ -100,12 +101,12 @@ class ReconConfig:
         for name in ("width", "height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.pixel_size > 0:
-            raise ValueError(f"pixel_size must be > 0, got {self.pixel_size}")
+        if not 0 < self.pixel_size < math.inf:
+            raise ValueError(f"pixel_size must be > 0 and finite, got {self.pixel_size}")
         if not 0 < self.relaxation <= 1:
             raise ValueError("relaxation must be in (0, 1]")
-        if not self.eps_hu > 0:
-            raise ValueError("eps_hu must be > 0")
+        if not 0 < self.eps_hu < math.inf:
+            raise ValueError(f"eps_hu must be > 0 and finite, got {self.eps_hu}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.algorithm != "sart" and self.tv_steps < 1:
@@ -182,10 +183,9 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarra
     if config.algorithm == "sart":
         return f, ()
     if config.algorithm == "wtv":
-        w = update_weights(f, config.eps_hu)
-        f, sizes = descent_steps(f, w, forward_diff_op(f.shape[0]),
-                                 config.tv_steps, params,
-                                 delta_mu=MU_PER_HU * config.eps_hu)
+        yop = forward_diff_op(f.shape[0])
+        w = tv_weights(f, config.eps_hu, yop)
+        f, sizes = descent_steps(f, w, yop, config.tv_steps, params, config.eps_hu)
         return f, tuple(sizes)
     sizes_all: list[float] = []
     if config.algorithm == "ssatv1":
@@ -245,7 +245,7 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
         f, step_sizes = _regularization_phase(f, config)
         f = np.maximum(f, 0.0)
 
-        objective = tv_value(f, update_weights(f, config.eps_hu), yop1)
+        objective = tv_value(f, tv_weights(f, config.eps_hu, yop1), yop1)
         roi_err = full_err = None
         if reference is not None:
             img = ImageGrid(config.width, config.height, config.pixel_size, f)

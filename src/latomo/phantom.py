@@ -7,6 +7,7 @@ rasterization is exact for the painting order and reproducible across runs.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import numbers
 from dataclasses import dataclass
@@ -21,6 +22,15 @@ log = logging.getLogger(__name__)
 AIR_HU = -1000.0
 
 
+def _check_finite(primitive, kind: str):
+    """Rejects a NaN or infinite field, which would drop the primitive from
+    the raster or paint a non-finite value."""
+    for field in dataclasses.fields(primitive):
+        value = getattr(primitive, field.name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{kind} {field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Ellipse:
     center: tuple[float, float]  # mm
@@ -29,6 +39,7 @@ class Ellipse:
     value_hu: float
 
     def __post_init__(self):
+        _check_finite(self, "ellipse")
         if self.semi_axes[0] <= 0 or self.semi_axes[1] <= 0:
             raise ValueError("ellipse semi-axes must be positive")
 
@@ -43,6 +54,7 @@ class Bar:
     value_hu: float
 
     def __post_init__(self):
+        _check_finite(self, "bar")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("bar extents must be positive")
 

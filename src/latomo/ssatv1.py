@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .core import MU_PER_HU
 from .tv import LineSearchParams, descent_steps, row_operator, tv_weights
 
 
@@ -50,5 +49,5 @@ def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     yop = row_operator(*derivative_kernel(s), f.shape[0])
-    w = tv_weights(f, MU_PER_HU * eps_hu, yop)
-    return descent_steps(f, w, yop, steps, params, MU_PER_HU * eps_hu)
+    w = tv_weights(f, eps_hu, yop)
+    return descent_steps(f, w, yop, steps, params, eps_hu)

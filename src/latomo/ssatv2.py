@@ -5,7 +5,8 @@ descent direction is found on the coarse grid, and the step is pulled back
 to the fine grid through the exact adjoint of the sampler.  The sampler is
 one strided :class:`latomo.tv.RowOperator`, whose transpose is the adjoint
 up-sampler including the clamped-boundary bookkeeping.  The descent is
-:func:`latomo.tv.descent_steps` given that sampler.
+:func:`latomo.tv.descent_steps` given that sampler; at scale 1 the sampler
+is the identity and the descent is the un-sampled weighted-TV step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MU_PER_HU
 from .ssatv1 import binomial_kernel
 from .tv import (
     LineSearchParams,
@@ -56,7 +56,7 @@ def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
     f = np.asarray(f, dtype=np.float64)
     down = down_sampler(f.shape[0], s)
     f_d = down.apply(f)
-    w_d = tv_weights(f_d, MU_PER_HU * eps_hu, forward_diff_op(f_d.shape[0]))
+    w_d = tv_weights(f_d, eps_hu, forward_diff_op(f_d.shape[0]))
     return PyramidLevel(s, down, w_d)
 
 
@@ -78,4 +78,4 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
             f"(scale {level.scale})"
         )
     return descent_steps(f, level.weights, forward_diff_op(down.shape[0]),
-                         steps, params, MU_PER_HU * eps_hu, down=down)
+                         steps, params, eps_hu, down if level.scale > 1 else None)

@@ -106,27 +106,39 @@ def _dx(f: np.ndarray) -> np.ndarray:
 
 # -- generic weighted-TV machinery (parameterized by the Y operator) --------
 
+def _eps_mu(eps_hu: float) -> float:
+    """The reweighting floor ``eps_hu`` (HU) in mm^-1.  It is also the
+    descent's smoothing floor, so both are derived here and only here."""
+    if not 0 < eps_hu < math.inf:
+        raise ValueError(f"eps_hu must be > 0 and finite, got {eps_hu}")
+    return MU_PER_HU * eps_hu
+
+
+def _magnitude(f: np.ndarray, yop: RowOperator,
+               delta_mu: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X and Y differences of ``f`` and their ``delta_mu``-smoothed magnitude."""
+    gx = _dx(f)
+    gy = yop.apply(f)
+    return gx, gy, np.sqrt(gx * gx + gy * gy + delta_mu * delta_mu)
+
+
 def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
              delta_mu: float = 0.0) -> float:
     """Weighted TV value; ``delta_mu > 0`` gives the smoothed functional that
     :func:`tv_gradient` differentiates exactly."""
-    gx = _dx(f)
-    gy = yop.apply(f)
-    return float(np.sum(w * np.sqrt(gx * gx + gy * gy + delta_mu * delta_mu)))
+    return float(np.sum(w * _magnitude(f, yop, delta_mu)[2]))
 
 
-def tv_weights(f: np.ndarray, eps_mu: float, yop: RowOperator) -> np.ndarray:
-    gx = _dx(f)
-    gy = yop.apply(f)
-    return 1.0 / (np.sqrt(gx * gx + gy * gy) + eps_mu)
+def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator) -> np.ndarray:
+    """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU."""
+    eps_mu = _eps_mu(eps_hu)
+    return 1.0 / (_magnitude(f, yop)[2] + eps_mu)
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
                 delta_mu: float) -> np.ndarray:
     """Exact gradient of the ``delta_mu``-smoothed weighted TV value."""
-    gx = _dx(f)
-    gy = yop.apply(f)
-    norm = np.sqrt(gx * gx + gy * gy + delta_mu * delta_mu)
+    gx, gy, norm = _magnitude(f, yop, delta_mu)
     tx = w * gx / norm
     ty = w * gy / norm
     g = tx.copy()
@@ -136,14 +148,14 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
 
 
 def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
-                  params: LineSearchParams, delta_mu: float,
+                  params: LineSearchParams, eps_hu: float,
                   down: RowOperator | None = None) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
     TV value.  Returns the image and the accepted step sizes.
 
-    ``delta_mu`` (mm^-1) is the smoothing floor of the gradient-magnitude
-    denominators; callers tie it to the reweighting floor.  Magnitudes below
+    The smoothing floor of the gradient-magnitude denominators is the
+    reweighting floor ``eps_hu`` of :func:`tv_weights`.  Magnitudes below
     it count as flat, so their descent contribution fades out instead of
     flipping sign at the kink, which keeps backtracking steps usable; a much
     smaller floor makes the direction a raw subgradient and stalls the
@@ -159,6 +171,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
     grid of ``down.apply(f)`` and each step is taken along
     ``down.apply_t(ghat)`` on the grid of ``f``.
     """
+    delta_mu = _eps_mu(eps_hu)
     objective = lambda arr: tv_value(arr, w, yop)
     accepted: list[float] = []
     rung, f0 = 0, None
@@ -186,14 +199,6 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
                     realized, step.value,
                 )
     return f, accepted
-
-
-def update_weights(f: np.ndarray, eps_hu: float) -> np.ndarray:
-    """Reweighting: w = 1 / (||gradient|| + eps), with eps given in HU."""
-    if not eps_hu > 0:
-        raise ValueError("eps must be > 0")
-    f = np.asarray(f, dtype=np.float64)
-    return tv_weights(f, MU_PER_HU * eps_hu, forward_diff_op(f.shape[0]))
 
 
 def normalize_direction(g: np.ndarray) -> tuple[np.ndarray, bool]:

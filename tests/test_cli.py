@@ -171,6 +171,20 @@ def test_negative_noise_seed_rejected_before_any_write(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_phantom_spec_rejected_before_any_write(tmp_path, capsys):
+    # once passed build_experiment and failed on the nan image after
+    # config_echo.ini was written
+    spec = tmp_path / "bad.phantom"
+    spec.write_text("ellipse 0 0 50 50 0 100\nellipse 0 0 50 50 0 nan\n")
+    path = write_config(tmp_path)
+    assignment = f"phantom.spec={spec}"
+    with pytest.raises(ConfigError, match=rf"^phantom\.spec: .*bad\.phantom:2:"):
+        build_experiment(_load_ini(path, [assignment]))
+    assert main(["run", str(path), "--set", assignment]) == 1
+    assert "value_hu must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _floats(value):
     """Every float inside a (nested) dataclass, tuple or number."""
     if dataclasses.is_dataclass(value):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latomo import tv
 from latomo.core import FanBeamGeometry, Sinogram
 from latomo.driver import (
     CSV_HEADER,
@@ -112,14 +113,16 @@ class TestReconConfig:
             config("sart", relaxation=1.5)
 
     def test_eps_checked(self):
-        with pytest.raises(ValueError):
-            config("wtv", eps_hu=0.0)
+        # eps_hu = inf once ran 0 TV steps: the image equalled the sart run
+        for eps_hu in (0.0, -5.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps_hu must be > 0 and finite"):
+                config("wtv", eps_hu=eps_hu)
 
     def test_grid_checked(self):
         for field, value in (("width", 0), ("height", -2)):
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                 replace(config("sart"), **{field: value})
-        for pixel_size in (0.0, -1.0, float("nan")):
+        for pixel_size in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="pixel_size must be > 0"):
                 replace(config("sart"), pixel_size=pixel_size)
 
@@ -159,16 +162,29 @@ class TestRunReconstruction:
         npt.assert_array_equal(img_a.data, img_b.data)
         assert [r.objective for r in log_a.rows] == [r.objective for r in log_b.rows]
 
-    def test_degeneracy_chain_bitwise(self, small_scene):
+    def test_degeneracy_chain_bitwise(self, small_scene, monkeypatch):
+        # one scale-1 step: the same images from the same number of TV
+        # values (ssatv2 once recomputed each search's start value)
         truth, projector, sino, roi = small_scene
+        real_value, calls = tv.tv_value, []
+
+        def counted_value(*args, **kwargs):
+            calls[-1] += 1
+            return real_value(*args, **kwargs)
+
+        monkeypatch.setattr(tv, "tv_value", counted_value)
         for eps_hu, tv_steps in ((5.0, 10), (20.0, 10), (5.0, 7)):
-            images = {}
+            images, values = {}, {}
             for algorithm in ("wtv", "ssatv1", "ssatv2"):
                 cfg = config(algorithm, iterations=4, levels=1, eps_hu=eps_hu,
                              tv_steps=tv_steps)
+                calls.append(0)
                 images[algorithm], _ = run_reconstruction(cfg, sino, projector=projector)
+                values[algorithm] = calls[-1]
             npt.assert_array_equal(images["wtv"].data, images["ssatv1"].data)
             npt.assert_array_equal(images["wtv"].data, images["ssatv2"].data)
+            assert values["wtv"] > 0
+            assert values["wtv"] == values["ssatv1"] == values["ssatv2"]
 
     def test_nonnegative_after_every_iteration(self, small_scene):
         truth, projector, sino, roi = small_scene

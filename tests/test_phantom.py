@@ -237,3 +237,21 @@ class TestSpecFiles:
         path.write_text("ellipse 0 0 5 4 0 100\nbar 1 2 3\n")
         with pytest.raises(ValueError, match=":2:"):
             load_phantom_spec(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ("ellipse 0 0 50 50 0 nan", "value_hu"),
+        ("ellipse 0 0 nan 50 0 100", "semi_axes"),
+        ("ellipse inf 0 50 50 0 100", "center"),
+        ("ellipse 0 0 50 50 nan 100", "angle_deg"),
+        ("bar 0 nan 3 4 100", "center"),
+        ("bar 0 0 inf 4 100", "width"),
+        ("bar 0 0 3 nan 100", "height"),
+        ("bar 0 0 3 4 -inf", "value_hu"),
+    ])
+    def test_non_finite_field_names_line_and_field(self, tmp_path, line, field):
+        # a nan value once rasterized to a nan image; a nan extent, centre or
+        # angle dropped the primitive without a word
+        path = tmp_path / "bad.phantom"
+        path.write_text(f"ellipse 0 0 5 4 0 100\n{line}\n")
+        with pytest.raises(ValueError, match=rf":2: \w+ {field} must be finite"):
+            load_phantom_spec(path)

@@ -16,7 +16,6 @@ from latomo.tv import (
     tv_gradient,
     tv_value,
     tv_weights,
-    update_weights,
 )
 
 # smoothing floor tied to the default 5 HU reweighting floor, as in the driver
@@ -32,7 +31,7 @@ def aniso_value(f, w, kernel, delta_mu=0.0):
 
 
 def aniso_weights(f, kernel):
-    return tv_weights(f, MU_PER_HU * 5.0, yop(f, kernel))
+    return tv_weights(f, 5.0, yop(f, kernel))
 
 
 def aniso_gradient(f, w, kernel, delta_mu=DELTA_MU):
@@ -144,7 +143,7 @@ class TestAnisotropicGrad:
         interior = gy[s + 2 : 32 - s - 2]
         npt.assert_allclose(interior, expected, rtol=1e-12)
         # no X variation: the weights see the Y response alone
-        npt.assert_array_equal(tv_weights(f, 1.0, yop(f, kernel)), 1.0 / (np.abs(gy) + 1.0))
+        npt.assert_array_equal(aniso_weights(f, kernel), 1.0 / (np.abs(gy) + DELTA_MU))
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(31)
@@ -193,7 +192,7 @@ class TestSsatv1Gradient:
     def test_scale_one_equals_isotropic_gradient(self):
         rng = np.random.default_rng(33)
         f = rng.uniform(0.0, 0.04, (8, 8))
-        w = update_weights(f, 5.0)
+        w = aniso_weights(f, derivative_kernel(1))
         npt.assert_array_equal(
             aniso_gradient(f, w, derivative_kernel(1)),
             tv_gradient(f, w, forward_diff_op(8), DELTA_MU),
@@ -216,8 +215,8 @@ class TestSsatv1Gradient:
 
 def wtv_pass(f, steps, params):
     """The driver's wtv phase at 5 HU: weights from ``f``, then the loop."""
-    out, _ = descent_steps(f, update_weights(f, 5.0), forward_diff_op(f.shape[0]),
-                           steps, params, DELTA_MU)
+    yop1 = forward_diff_op(f.shape[0])
+    out, _ = descent_steps(f, tv_weights(f, 5.0, yop1), yop1, steps, params, 5.0)
     return out
 
 

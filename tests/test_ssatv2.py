@@ -13,7 +13,7 @@ from latomo.tv import (
     forward_diff_op,
     tv_gradient,
     tv_value,
-    update_weights,
+    tv_weights,
 )
 
 # smoothing floor tied to the default 5 HU reweighting floor, as in the driver
@@ -150,8 +150,8 @@ class TestSubstep:
         params = LineSearchParams()
         level = make_pyramid_level(f, 1, 5.0)
         a, _ = ssatv2_pass(f.copy(), level, 5.0, 10, params)
-        b, _ = descent_steps(f, update_weights(f, 5.0), forward_diff_op(16), 10,
-                             params, DELTA_MU)
+        yop = forward_diff_op(16)
+        b, _ = descent_steps(f, tv_weights(f, 5.0, yop), yop, 10, params, 5.0)
         npt.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("s", (2, 4))
@@ -161,8 +161,8 @@ class TestSubstep:
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
             f_d = down.apply(f)
-            w_d = update_weights(f_d, 5.0)
             yop = forward_diff_op(f_d.shape[0])
+            w_d = tv_weights(f_d, 5.0, yop)
             composite = down.apply_t(tv_gradient(f_d, w_d, yop, DELTA_MU))
             objective = lambda arr: coarse_value(down.apply(arr), w_d, DELTA_MU)
             fd = central_fd(objective, f)

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from latomo import tv
 from latomo.core import MU_PER_HU
-from latomo.ssatv1 import derivative_kernel
-from latomo.ssatv2 import make_pyramid_level
+from latomo.ssatv1 import derivative_kernel, ssatv1_pass
+from latomo.ssatv2 import make_pyramid_level, ssatv2_pass
 from latomo.tv import (
     LineSearchParams,
     backtracking_line_search,
@@ -19,7 +19,6 @@ from latomo.tv import (
     tv_gradient,
     tv_value,
     tv_weights,
-    update_weights,
 )
 
 # smoothing floor tied to the default 5 HU reweighting floor, as in the driver
@@ -34,10 +33,14 @@ def iso_gradient(f, w, delta_mu=DELTA_MU):
     return tv_gradient(f, w, forward_diff_op(f.shape[0]), delta_mu)
 
 
+def iso_weights(f, eps_hu=5.0):
+    return tv_weights(f, eps_hu, forward_diff_op(f.shape[0]))
+
+
 def wtv_pass(f, eps_hu, steps, params):
     """The driver's wtv phase: weights from ``f``, then the descent loop."""
-    out, _ = descent_steps(f, update_weights(f, eps_hu), forward_diff_op(f.shape[0]),
-                           steps, params, MU_PER_HU * eps_hu)
+    out, _ = descent_steps(f, iso_weights(f, eps_hu), forward_diff_op(f.shape[0]),
+                           steps, params, eps_hu)
     return out
 
 
@@ -64,12 +67,12 @@ class TestGrad:
     def test_constant_image(self):
         f = np.full((5, 7), 3.2)
         npt.assert_array_equal(forward_diff_op(5).apply(f), 0.0)
-        npt.assert_array_equal(update_weights(f, 5.0), 1.0 / self.EPS_MU)
+        npt.assert_array_equal(iso_weights(f), 1.0 / self.EPS_MU)
 
     def test_linear_ramp_along_x(self):
         c = 0.7
         f = c * np.arange(6.0)[None, :].repeat(4, axis=0)
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         npt.assert_allclose(w[:, 1:], 1.0 / (c + self.EPS_MU))
         npt.assert_array_equal(w[:, 0], 1.0 / self.EPS_MU)
         npt.assert_array_equal(forward_diff_op(4).apply(f), 0.0)
@@ -79,7 +82,7 @@ class TestGrad:
         f = rng.standard_normal((3, 3))
         ox, oy = oracle_grad(f)
         npt.assert_array_equal(forward_diff_op(3).apply(f), oy)
-        npt.assert_array_equal(update_weights(f, 5.0),
+        npt.assert_array_equal(iso_weights(f),
                                1.0 / (np.sqrt(ox * ox + oy * oy) + self.EPS_MU))
 
 
@@ -120,14 +123,17 @@ class TestWtvValue:
 
 
 class TestUpdateWeights:
+    """The reweighting step: :func:`tv_weights` with the plain difference
+    and the floor given in HU."""
+
     def test_constant_image_hits_cap(self):
-        w = update_weights(np.full((3, 3), 0.01), eps_hu=5.0)
+        w = iso_weights(np.full((3, 3), 0.01))
         npt.assert_allclose(w, 1e4, rtol=1e-12)
 
     def test_gradient_equal_to_eps(self):
         eps_mu = MU_PER_HU * 5.0
         f = np.array([[0.0, eps_mu]])
-        w = update_weights(f, eps_hu=5.0)
+        w = iso_weights(f)
         assert w[0, 1] == pytest.approx(1.0 / (2 * eps_mu), rel=1e-12)
 
     def test_matches_elementwise_oracle(self):
@@ -136,18 +142,41 @@ class TestUpdateWeights:
         eps_mu = MU_PER_HU * 5.0
         gx, gy = oracle_grad(f)
         expected = 1.0 / (np.sqrt(gx**2 + gy**2) + eps_mu)
-        npt.assert_allclose(update_weights(f, 5.0), expected, rtol=1e-12)
+        npt.assert_allclose(iso_weights(f), expected, rtol=1e-12)
 
     def test_weights_bounded_by_cap(self):
         rng = np.random.default_rng(25)
         f = rng.uniform(0, 0.04, (6, 6))
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         assert np.all(w > 0)
         assert np.all(w <= 1.0 / (MU_PER_HU * 5.0) + 1e-9)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
-            update_weights(np.zeros((2, 2)), 0.0)
+            iso_weights(np.zeros((2, 2)), 0.0)
+
+
+def _level_pass(f, eps_hu):
+    return ssatv2_pass(f, make_pyramid_level(f, 2, 5.0), eps_hu, 1, LineSearchParams())
+
+
+EPS_ENTRY_POINTS = {
+    "tv_weights": lambda f, eps: tv_weights(f, eps, forward_diff_op(f.shape[0])),
+    "descent_steps": lambda f, eps: descent_steps(
+        f, iso_weights(f), forward_diff_op(f.shape[0]), 1, LineSearchParams(), eps),
+    "ssatv1_pass": lambda f, eps: ssatv1_pass(f, eps, 2, 1, LineSearchParams()),
+    "make_pyramid_level": lambda f, eps: make_pyramid_level(f, 2, eps),
+    "ssatv2_pass": _level_pass,
+}
+
+
+@pytest.mark.parametrize("eps_hu", [0.0, -5.0, np.nan, np.inf], ids=repr)
+@pytest.mark.parametrize("entry", sorted(EPS_ENTRY_POINTS))
+def test_every_eps_entry_point_rejects_a_bad_floor(entry, eps_hu):
+    # 0 and nan once returned the image unchanged after 0 steps, -5 ran
+    f = np.random.default_rng(20).uniform(0.0, 0.04, (8, 8))
+    with pytest.raises(ValueError, match="eps_hu"):
+        EPS_ENTRY_POINTS[entry](f, eps_hu)
 
 
 def central_fd(objective, f, step=1e-7):
@@ -172,7 +201,7 @@ class TestWtvGradient:
         rng = np.random.default_rng(26)
         for _ in range(10):
             f = rng.uniform(0.0, 0.04, (8, 8))
-            w = update_weights(f, 5.0)
+            w = iso_weights(f)
             g = iso_gradient(f, w, delta_mu)
             fd = central_fd(lambda arr: iso_value(arr, w, delta_mu), f)
             assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
@@ -182,7 +211,7 @@ class TestWtvGradient:
         # differences of the unsmoothed value agree as well
         rng = np.random.default_rng(261)
         f = rng.uniform(0.0, 0.04, (8, 8))
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         g = iso_gradient(f, w, 1e-8)
         fd = central_fd(lambda arr: iso_value(arr, w), f)
         assert np.linalg.norm(g - fd) / np.linalg.norm(fd) < 1e-4
@@ -242,7 +271,7 @@ class TestLineSearch:
     def test_step_decreases_wtv_objective(self):
         rng = np.random.default_rng(27)
         f = rng.uniform(0.0, 0.04, (8, 8))
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         objective = lambda arr: iso_value(arr, w)
         g = iso_gradient(f, w)
         ghat, _ = normalize_direction(g)
@@ -282,19 +311,19 @@ class TestWtvRegularize:
     def test_objective_never_increases(self):
         rng = np.random.default_rng(28)
         f = rng.uniform(0.0, 0.04, (12, 12))
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         out = wtv_pass(f, 5.0, 10, LineSearchParams())
         assert iso_value(out, w) <= iso_value(f, w)
 
     def test_monotone_within_each_step(self):
         rng = np.random.default_rng(29)
         f = rng.uniform(0.0, 0.04, (10, 10))
-        w = update_weights(f, 5.0)
+        w = iso_weights(f)
         yop = forward_diff_op(10)
         params = LineSearchParams()
         previous = iso_value(f, w)
         for _ in range(10):
-            f, _ = descent_steps(f, w, yop, 1, params, DELTA_MU)
+            f, _ = descent_steps(f, w, yop, 1, params, 5.0)
             current = iso_value(f, w)
             assert current <= previous
             previous = current
@@ -358,10 +387,10 @@ def descent_case(name, n=32):
     f = f + np.where(y > 2 * n // 3, 0.005, 0.0) + rng.normal(0.0, 5e-4, f.shape)
     variant, _, scale = name.partition("-s")
     if variant == "wtv":
-        return f, update_weights(f, 5.0), forward_diff_op(n), None
+        return f, iso_weights(f), forward_diff_op(n), None
     if variant == "ssatv1":
         yop = row_operator(*derivative_kernel(int(scale)), n)
-        return f, tv_weights(f, DELTA_MU, yop), yop, None
+        return f, tv_weights(f, 5.0, yop), yop, None
     level = make_pyramid_level(f, int(scale), 5.0)
     return f, level.weights, forward_diff_op(level.sampler.shape[0]), level.sampler
 
@@ -426,7 +455,7 @@ class TestWarmStartedSearch:
     def test_descent_matches_cold_scan(self, case, max_shrinks):
         f, w, yop, down = descent_case(case)
         params = LineSearchParams(max_shrinks=max_shrinks)
-        got, got_steps = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        got, got_steps = descent_steps(f, w, yop, 20, params, 5.0, down)
         want, want_steps = cold_descent(f, w, yop, 20, params, DELTA_MU, down)
         assert got_steps == want_steps
         npt.assert_array_equal(got, want)
@@ -436,7 +465,7 @@ class TestWarmStartedSearch:
     def test_a_descent_step_grows_two_rungs(self):
         f, w, yop, down = descent_case("ssatv2-s4")
         params = LineSearchParams()
-        _, accepted = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down)
         rungs = [rung_of(t, params) for t in accepted]
         assert any(a - b >= 2 for a, b in zip(rungs, rungs[1:])), rungs
 
@@ -460,7 +489,7 @@ class TestWarmStartedSearch:
         monkeypatch.setattr(tv, "backtracking_line_search", search)
         f, w, yop, down = descent_case(case)
         params = LineSearchParams()
-        _, accepted = descent_steps(f, w, yop, 20, params, DELTA_MU, down)
+        _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down)
         assert len(per_search) == len(accepted) == 20
         start, repeated = 0, []
         for i, (t, evaluations) in enumerate(zip(accepted, per_search)):
