@@ -328,9 +328,11 @@ def run_experiment(config_path, sets=()) -> Path:
     clean = Sinogram(geom.num_views, geom.detector_channels,
                      geom.view_angles_deg(), projector.forward(truth.data))
     write_raw_sinogram(out / "sinogram_clean.raw", clean, geom.channel_size)
-    mirrored = projector.mirrored_views
-    log.info("projector: %d views stored, %d mirrored, %.1f MB",
-             geom.num_views - mirrored, mirrored, projector.nbytes / 2**20)
+    stored = geom.num_views - projector.mirrored_views
+    log.info("projector: %d views stored, %d mirrored, %.1f MB "
+             "(%d traced, %d reflected)", stored, projector.mirrored_views,
+             projector.nbytes / 2**20, stored - projector.reflected_views,
+             projector.reflected_views)
     measured = clean
     if cfg.noise is not None:
         measured = add_poisson_noise(clean, cfg.noise)

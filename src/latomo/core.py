@@ -53,8 +53,8 @@ class ImageGrid:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("grid dimensions must be positive")
-        if not self.pixel_size > 0:
-            raise ValueError("pixel_size must be > 0")
+        if not 0 < self.pixel_size < math.inf:
+            raise ValueError(f"pixel_size must be > 0 and finite, got {self.pixel_size}")
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != (self.height, self.width):
             raise ValueError(

@@ -112,6 +112,15 @@ class ReconConfig:
         if self.algorithm != "sart" and self.tv_steps < 1:
             raise ValueError(f"tv_steps must be >= 1 for {self.algorithm}")
         if self.algorithm in ("ssatv1", "ssatv2"):
+            angles = self.geometry.view_angles_deg()
+            mid = (angles[0] + angles[-1]) / 2.0
+            if not abs(mid % 180.0 - 90.0) < 45.0:
+                raise ValueError(
+                    f"{self.algorithm} widens along Y, the streak normal only of "
+                    f"scans centred within 45 degrees of 90 (mod 180); the "
+                    f"angular range {angles[0]:g}..{angles[-1]:g} degrees is "
+                    f"centred on {mid:g}"
+                )
             coarsest = self.schedule().entries[0][0]
             if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
                 raise ValueError(

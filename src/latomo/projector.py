@@ -17,8 +17,21 @@ angles pair up as ``angles[k] + angles[V-1-k] == 180`` degrees, view
 ``V-1-k`` is the mirror image of view ``k`` across the Y axis.  Only view
 ``k`` is traced and stored; view ``V-1-k`` is applied through it with the
 channels reversed and the image flipped in X, which halves the trace time
-and the memory of a symmetric scan.  Otherwise every view is traced.  All
-operations are plain single-threaded numpy/scipy and bit-reproducible.
+and the memory of a symmetric scan.
+
+Diagonal reflection: on a square grid, reflecting across the line y = x
+maps the rays of view beta onto those of view 90 - beta (mod 360 degrees),
+channel order reversed, and pixel (y, x) onto (x, y).  So when both views
+are stored, the later one is not traced but stored as the earlier one's
+reflection, built from its matrix in one O(nnz) gather.  Each ray
+crosses the same pixels in the same order, so the sparsity pattern is the
+fresh trace's and the weights differ from it by rounding only.  (A fresh
+trace at exactly 90 degrees, where cos(pi/2) is about 6e-17, can also hold
+slivers of about 1e-14 mm where a ray grazes a pixel corner; the
+reflection of the exact 0 degree view has none.)  On a 10-170 degree scan
+in 1 degree steps, 46 of the 81 stored views are traced and 35 reflected.
+
+All operations are plain single-threaded numpy/scipy and bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +47,8 @@ from .core import FanBeamGeometry
 log = logging.getLogger(__name__)
 
 # Largest |angles[k] + angles[V-1-k] - 180| (degrees) that still counts as a
-# mirror pair.
+# mirror pair, and largest |angles[i] + angles[j] - 90| (mod 360) that still
+# counts as a diagonal pair.
 _MIRROR_TOL_DEG = 1e-9
 
 
@@ -68,6 +82,21 @@ class Projector:
         pair_sums = self.angles_deg + self.angles_deg[::-1]
         symmetric = bool(np.all(np.abs(pair_sums - 180.0) <= _MIRROR_TOL_DEG))
         self._mirrored = symmetric & (views > views[::-1])
+        # stored view j -> the earliest stored view i it reflects across y = x
+        self._reflected_from: dict[int, int] = {}
+        if self.width == self.height:
+            angles = self.angles_deg
+            for j in np.flatnonzero(~self._mirrored):
+                gap = (angles[:j] + angles[j] + 90.0) % 360.0 - 180.0
+                partners = np.flatnonzero((np.abs(gap) <= _MIRROR_TOL_DEG)
+                                          & ~self._mirrored[:j])
+                if partners.size:
+                    self._reflected_from[int(j)] = int(partners[0])
+            if self._reflected_from:
+                # pixel y*W + x of view beta is pixel x*W + y of view 90 - beta
+                self._transposed_pixel = np.arange(
+                    self.width * self.height, dtype=np.int32,
+                ).reshape(self.height, self.width).T.ravel()
         half_diag = float(np.hypot(self.width, self.height)) * self.pixel_size / 2.0
         if half_diag > geom.fov_radius:
             log.info(
@@ -172,7 +201,28 @@ class Projector:
         pixels = (iy * self.width + ix)[valid].astype(np.int32)
         indptr = np.zeros(n_chan + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.count_nonzero(valid, axis=1))
-        n_pix = self.width * self.height
+        return self._pack(weights, pixels, indptr)
+
+    def _reflect(self, matrix: csr_array) -> tuple[csr_array, csc_array, np.ndarray,
+                                                    np.ndarray]:
+        """View 90 - beta from the stored matrix of view beta (square grid):
+        channel c is the reflection of channel C-1-c, crossing the same
+        pixels, transposed, in the same order, so row c holds row C-1-c's
+        weights with column y*W + x moved to x*W + y."""
+        indptr = matrix.indptr.astype(np.int64)
+        nnz = int(indptr[-1])
+        # entry p of new row r is entry p + indptr[i] + indptr[i+1] - nnz of
+        # source row i = C-1-r
+        shift = (indptr[:-1] + indptr[1:] - nnz)[::-1]
+        source = np.arange(nnz) + np.repeat(shift, np.diff(indptr)[::-1])
+        return self._pack(matrix.data[source],
+                          self._transposed_pixel[matrix.indices[source]],
+                          (nnz - indptr[::-1]).astype(np.int32))
+
+    def _pack(self, weights: np.ndarray, pixels: np.ndarray, indptr: np.ndarray
+              ) -> tuple[csr_array, csc_array, np.ndarray, np.ndarray]:
+        """(matrix, transpose, row_sums, col_divisors) of one view's CSR arrays."""
+        n_chan, n_pix = len(indptr) - 1, self.width * self.height
         matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
         transpose = matrix.T
         row_sums = matrix @ np.ones(n_pix)
@@ -191,13 +241,22 @@ class Projector:
         source = len(self.angles_deg) - 1 - view_index if flipped else view_index
         stored = self._views.get(source)
         if stored is None:
-            stored = self._views[source] = self._trace(source)
+            partner = self._reflected_from.get(source)
+            stored = self._views[source] = (
+                self._trace(source) if partner is None
+                else self._reflect(self._stored(partner)[0]))
         return (*stored, flipped)
 
     @property
     def mirrored_views(self) -> int:
         """Views applied through their mirror partner instead of being traced."""
         return int(np.count_nonzero(self._mirrored))
+
+    @property
+    def reflected_views(self) -> int:
+        """Views stored as the reflection of a traced view across y = x
+        instead of being traced."""
+        return len(self._reflected_from)
 
     @property
     def nbytes(self) -> int:

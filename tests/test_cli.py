@@ -230,9 +230,10 @@ class TestRunExperiment:
         caplog.set_level(logging.INFO, logger="latomo.cli")
         path = write_config(tmp_path)
         out = run_experiment(path)
-        # 10-170 degrees in 8-degree steps: 21 views, 10 mirror pairs
-        assert re.search(r"projector: 11 views stored, 10 mirrored, [0-9.]+ MB",
-                         caplog.text)
+        # 10-170 degrees in 8-degree steps: 21 views, 10 mirror pairs and
+        # no two angles summing to 90 degrees
+        assert re.search(r"projector: 11 views stored, 10 mirrored, [0-9.]+ MB "
+                         r"\(11 traced, 0 reflected\)", caplog.text)
         for name in (
             "config_echo.ini",
             "ground_truth.raw",
@@ -246,6 +247,14 @@ class TestRunExperiment:
         ):
             assert (out / name).exists(), name
         assert not (out / "sinogram_noisy.raw").exists()
+
+    def test_log_counts_reflected_views(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="latomo.cli")
+        path = write_config(tmp_path)
+        run_experiment(path, sets=["geometry.angle_increment=5", "recon.iterations=1"])
+        # 33 views, 16 mirrored; of 10-90 degrees, 50-80 reflect 10-40
+        assert re.search(r"projector: 17 views stored, 16 mirrored, [0-9.]+ MB "
+                         r"\(10 traced, 7 reflected\)", caplog.text)
 
     def test_too_short_pyramid_rejected_before_any_write(self, tmp_path):
         # 16 rows at scale 16 leave one coarse row
@@ -363,6 +372,16 @@ class TestMain:
         data, pixel_size = read_raw(out)
         assert data.shape == (64, 64) and pixel_size == 3.0
         assert data.max() > 0.03  # skull present
+
+    @pytest.mark.parametrize("pixel_size", ["inf", "0", "nan"])
+    def test_phantom_subcommand_bad_pixel_size_exits_one(self, tmp_path, capsys,
+                                                         pixel_size):
+        out = tmp_path / "x.raw"
+        argv = ["phantom", "builtin", "--out", str(out), "--width", "8",
+                "--height", "8", "--pixel-size", pixel_size]
+        assert main(argv) == 1
+        assert "pixel_size must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_phantom_subcommand_missing_spec_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.spec"

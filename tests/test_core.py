@@ -112,6 +112,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ImageGrid(2, 2, 0.0, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("pixel_size", [-1.0, np.inf, np.nan])
+    def test_grid_pixel_size_must_be_positive_and_finite(self, pixel_size):
+        # an infinite pitch once rasterized to an all-air image
+        with pytest.raises(ValueError, match="pixel_size must be > 0 and finite"):
+            ImageGrid(2, 2, pixel_size, np.zeros((2, 2)))
+
     def test_grid_centers_are_isocentric(self):
         img = ImageGrid.zeros(4, 4, 2.0)
         npt.assert_allclose(img.x_centers(), [-3.0, -1.0, 1.0, 3.0])

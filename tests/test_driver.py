@@ -152,6 +152,28 @@ class TestReconConfig:
         assert replace(config("ssatv2"), height=5, levels=3).height == 5
         assert replace(config("ssatv1"), height=16, levels=5).height == 16
 
+    @pytest.mark.parametrize("algorithm", ["ssatv1", "ssatv2"])
+    @pytest.mark.parametrize("start, end", [
+        (-80.0, 80.0), (100.0, 260.0), (135.0, 135.0), (-45.0, 135.0),
+    ])
+    def test_streak_axis_checked(self, algorithm, start, end):
+        # the scale-space variants widen along Y, the streak normal only of
+        # scans whose mid-angle lies within 45 degrees of 90 (mod 180)
+        geom = replace(GEOM, angle_start=start, angle_end=end)
+        with pytest.raises(ValueError,
+                           match=rf"angular range {start:g}\.\.{end:g} degrees"):
+            replace(config(algorithm, levels=2), geometry=geom)
+        for other in ("sart", "wtv"):
+            assert replace(config(other), geometry=geom).geometry == geom
+
+    @pytest.mark.parametrize("start, end", [
+        (10.0, 170.0), (190.0, 350.0), (-42.0, 134.0), (46.0, 222.0), (90.0, 90.0),
+    ])
+    def test_streak_axis_accepts_ranges_centred_near_90(self, start, end):
+        geom = replace(GEOM, angle_start=start, angle_end=end)
+        for algorithm in ("ssatv1", "ssatv2"):
+            assert replace(config(algorithm, levels=2), geometry=geom).geometry == geom
+
 
 class TestRunReconstruction:
     def test_deterministic(self, small_scene):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -345,3 +347,100 @@ class TestMirrorSharing:
         for view in (0, geom.num_views - 2, geom.num_views - 1):
             assert not proj._stored(view)[-1]
             assert_sart_matches_dense_oracle(proj, view, seed=21 + view)
+
+
+# (geometry, width, height, pixel size): square grids whose stored views pair
+# up as beta and 90 - beta
+DIAGONAL_SCANS = {
+    "degeneracy-64-1deg": (replace(DEGENERACY_GEOM, angle_increment=1.0), 64, 64, 2.0),
+    "small-0-180-5deg": (replace(SMALL_GEOM, angle_increment=5.0), 32, 32, 4.0),
+    # no mirror pairs; 360 reflects 90, itself the reflection of 0
+    "small-0-450-45deg": (replace(SMALL_GEOM, angle_end=450.0, angle_increment=45.0),
+                          16, 16, 4.0),
+}
+
+
+def pattern(matrix, floor):
+    """Entries per row and their columns, counting only weights above floor."""
+    keep = matrix.data > floor
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return np.bincount(rows[keep], minlength=matrix.shape[0]), matrix.indices[keep]
+
+
+class TestDiagonalReflection:
+    @pytest.mark.parametrize("scan, traced, reflected", [
+        ("degeneracy-64-1deg", 46, 35),  # 10-90 stored; 46-80 reflect 10-44
+        ("small-0-180-5deg", 10, 9),     # 0-90 stored; 50-90 reflect 0-40
+        ("small-0-450-45deg", 5, 6),     # 0, 45, 135, 180 and 225 traced
+    ])
+    def test_reflected_views_equal_fresh_traces(self, scan, traced, reflected):
+        geom, width, height, pixel = DIAGONAL_SCANS[scan]
+        proj = Projector(geom, width, height, pixel)
+        assert proj.reflected_views == reflected
+        assert geom.num_views - proj.mirrored_views - reflected == traced
+        for view, partner in proj._reflected_from.items():
+            angles = proj.angles_deg[[partner, view]]
+            assert np.sin(np.radians(angles.sum())) == pytest.approx(1.0)
+            assert partner < view
+            assert not proj._mirrored[partner]
+            derived, _, row_sums, _, flipped = proj._stored(view)
+            assert not flipped
+            fresh = proj._trace(view)[0]
+            floor = 1e-12 * fresh.data.max()
+            # at a multiple of 90 degrees, cos or sin is ~1e-16 instead of 0,
+            # which leaves ~1e-14 mm slivers where a ray grazes a pixel
+            # corner; a reflection inherits its partner's slivers instead
+            if proj.angles_deg[view] % 90.0 != 0.0:
+                floor = -1.0
+            for got, want in zip(pattern(derived, floor), pattern(fresh, floor)):
+                npt.assert_array_equal(got, want)
+            npt.assert_allclose(derived.toarray(), fresh.toarray(), rtol=0,
+                                atol=1e-12 * fresh.data.max())
+            npt.assert_array_equal(row_sums, proj._stored(partner)[2][::-1])
+
+    def test_adjoint_identity_on_reflected_views(self):
+        geom, width, height, pixel = DIAGONAL_SCANS["small-0-180-5deg"]
+        proj = Projector(geom, width, height, pixel)
+        rng = np.random.default_rng(23)
+        for view in proj._reflected_from:
+            f = rng.standard_normal((height, width))
+            q = rng.standard_normal(geom.detector_channels)
+            af = proj.forward_view(f, view)
+            atq = proj.backproject_view(q, view)
+            gap = abs(float(af @ q) - float((f * atq).sum()))
+            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
+
+    @pytest.mark.parametrize("view", [12, 18])  # 60 from 30 degrees, 90 from 0
+    def test_reflected_sart_matches_dense_oracle(self, view):
+        geom = DIAGONAL_SCANS["small-0-180-5deg"][0]
+        proj = Projector(geom, 8, 8, 16.0)
+        assert view in proj._reflected_from
+        assert_sart_matches_dense_oracle(proj, view, seed=24 + view)
+
+    @pytest.mark.parametrize("geom, width, height, pixel", [
+        (DIAGONAL_SCANS["small-0-180-5deg"][0], 32, 16, 4.0),
+        (DEGENERACY_GEOM, 64, 64, 2.0),
+    ], ids=["non-square", "no-diagonal-partners"])
+    def test_every_unmirrored_view_traced(self, geom, width, height, pixel):
+        proj = Projector(geom, width, height, pixel)
+        assert proj.reflected_views == 0
+        proj.forward(np.ones((height, width)))
+        assert len(proj._views) == geom.num_views - proj.mirrored_views
+        for view, (matrix, _, row_sums, col_divisors) in proj._views.items():
+            fresh, _, fresh_rows, fresh_cols = proj._trace(view)
+            for name in ("data", "indices", "indptr"):
+                npt.assert_array_equal(getattr(matrix, name), getattr(fresh, name))
+            npt.assert_array_equal(row_sums, fresh_rows)
+            npt.assert_array_equal(col_divisors, fresh_cols)
+
+    def test_nbytes_counts_the_reflected_views(self):
+        geom, width, height, pixel = DIAGONAL_SCANS["degeneracy-64-1deg"]
+        proj = Projector(geom, width, height, pixel)
+        proj.forward(np.ones((height, width)))
+        assert len(proj._views) == geom.num_views - proj.mirrored_views
+        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                     + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
+        assert proj.nbytes == stored
+        reflected = [proj._views[view][0] for view in proj._reflected_from]
+        assert all(m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
+                   for m in reflected)
