@@ -25,6 +25,7 @@ from pathlib import Path
 from .core import (
     MU_PER_HU,
     FanBeamGeometry,
+    ParameterError,
     RoiRect,
     Sinogram,
     write_pgm16,
@@ -102,6 +103,28 @@ window = 0 100
 diff_window = -25 25
 """
 
+# ParameterError.name raised by NoiseSpec, LineSearchParams and ReconConfig
+# (with its schedule) -> the INI key that sets the parameter
+_INI_KEYS = {
+    "incident_photons": "noise.photons",
+    "rng_seed": "noise.seed",
+    "width": "grid.width",
+    "height": "grid.height",
+    "pixel_size": "grid.pixel_size",
+    "algorithm": "recon.algorithm",
+    "relaxation": "recon.relaxation",
+    "eps_hu": "recon.eps_hu",
+    "tv_steps": "recon.steps",
+    "levels": "recon.levels",
+    "l_max": "recon.levels",
+    "budgets": "recon.budgets",
+    "alpha": "recon.alpha",
+    "beta": "recon.ls_beta",
+    "t0": "recon.t0",
+    "max_shrinks": "recon.max_shrinks",
+    "iterations": "recon.iterations",
+}
+
 # --desk: CI-sized variant of the same experiment, applied before any --set
 DESK_SETS = [
     "grid.width=256",
@@ -125,23 +148,32 @@ class ExperimentConfig:
     resolved: configparser.ConfigParser
 
 
-def _parser_with_defaults() -> configparser.ConfigParser:
+def _parse(text: str, source: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(DEFAULT_CONFIG)
+    cp.read_string(text, source=source)
     return cp
 
 
 def _load_ini(config_path, sets=()) -> configparser.ConfigParser:
-    cp = _parser_with_defaults()
+    cp = _parse(DEFAULT_CONFIG, "<defaults>")
     path = Path(config_path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        cp.read_string(text, source=str(path))
+        user = _parse(text, str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    if user.defaults():
+        raise ConfigError(f"{path}: unknown section [{user.default_section}]")
+    for section in user.sections():
+        for key, value in user.items(section, raw=True):
+            if not cp.has_option(section, key):
+                raise ConfigError(f"{section}.{key}: unknown key in {path}")
+            cp.set(section, key, value)
+        if not cp.has_section(section):  # an empty section of its own
+            raise ConfigError(f"{path}: unknown section [{section}]")
     for assignment in sets:
         if "=" not in assignment:
             raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
@@ -233,9 +265,8 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
     else:
         try:
             noise = NoiseSpec(_get_float(cp, "noise", "photons"), seed)
-        except ValueError as exc:
-            key = "noise.seed" if str(exc).startswith("rng_seed") else "noise.photons"
-            raise ConfigError(f"{key}: {exc}") from None
+        except ParameterError as exc:
+            raise ConfigError(f"{_INI_KEYS[exc.name]}: {exc}") from None
 
     budgets_raw = cp.get("recon", "budgets").strip()
     budgets = None
@@ -267,10 +298,8 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
             line_search=line_search,
             iterations=_get_int(cp, "recon", "iterations"),
         )
-    except ValueError as exc:
-        field = str(exc).split()[0]
-        key = f"grid.{field}" if field in ("width", "height", "pixel_size") else "recon"
-        raise ConfigError(f"{key}: {exc}") from None
+    except ParameterError as exc:
+        raise ConfigError(f"{_INI_KEYS[exc.name]}: {exc}") from None
 
     spec = _load_phantom(cp.get("phantom", "spec").strip())
     roi_raw = cp.get("roi", "region").strip().lower()
@@ -328,11 +357,10 @@ def run_experiment(config_path, sets=()) -> Path:
     clean = Sinogram(geom.num_views, geom.detector_channels,
                      geom.view_angles_deg(), projector.forward(truth.data))
     write_raw_sinogram(out / "sinogram_clean.raw", clean, geom.channel_size)
-    stored = geom.num_views - projector.mirrored_views
-    log.info("projector: %d views stored, %d mirrored, %.1f MB "
-             "(%d traced, %d reflected)", stored, projector.mirrored_views,
-             projector.nbytes / 2**20, stored - projector.reflected_views,
-             projector.reflected_views)
+    mirrored, reflected = projector.mirrored_views, projector.reflected_views
+    log.info("projector: %d views traced, %d mirrored, %d reflected, %.1f MB",
+             geom.num_views - mirrored - reflected, mirrored, reflected,
+             projector.nbytes / 2**20)
     measured = clean
     if cfg.noise is not None:
         measured = add_poisson_noise(clean, cfg.noise)

@@ -27,6 +27,15 @@ MU_PER_HU = MU_WATER / 1000.0
 _RAW_HEADER = struct.Struct("<IIf4x")  # width, height, pixel size, reserved
 
 
+class ParameterError(ValueError):
+    """A rejected parameter value; ``name`` is the parameter it was passed as,
+    so a caller can name the setting the value came from."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 def hu_to_mu(hu):
     """Hounsfield units -> linear attenuation (mm^-1). Accepts scalars or arrays."""
     return MU_WATER * (1.0 + np.asarray(hu, dtype=np.float64) / 1000.0)

@@ -18,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FanBeamGeometry, ImageGrid, RoiRect, Sinogram, roi_rmse
+from .core import (
+    FanBeamGeometry,
+    ImageGrid,
+    ParameterError,
+    RoiRect,
+    Sinogram,
+    roi_rmse,
+)
 from .projector import Projector
 from .ssatv1 import ssatv1_pass
 from .ssatv2 import make_pyramid_level, ssatv2_pass
@@ -58,24 +65,27 @@ def make_scale_schedule(l_max: int, total_steps: int = 10,
     coarse to fine and must sum to ``total_steps``.
     """
     if not 1 <= l_max <= 5:
-        raise ValueError("l_max must be in 1..5")
+        raise ParameterError("l_max", f"l_max must be in 1..5, got {l_max}")
     scales = [2 ** level for level in range(l_max - 1, -1, -1)]
     if budgets is None and l_max == 1:
         budgets = (total_steps,)
     if budgets is None:
         if total_steps != 10:
-            raise ValueError(
-                "built-in budgets cover total_steps=10; pass budgets explicitly"
+            raise ParameterError(
+                "budgets",
+                "built-in budgets cover total_steps=10; pass budgets explicitly",
             )
         budgets = _DEFAULT_BUDGETS[l_max]
     budgets = tuple(int(b) for b in budgets)
     if len(budgets) != l_max:
-        raise ValueError(f"budgets: expected {l_max} entries, got {len(budgets)}")
+        raise ParameterError(
+            "budgets", f"budgets: expected {l_max} entries, got {len(budgets)}")
     if any(b < 1 for b in budgets):
-        raise ValueError(f"budgets: inner step counts must be >= 1, got {budgets}")
+        raise ParameterError(
+            "budgets", f"budgets: inner step counts must be >= 1, got {budgets}")
     if sum(budgets) != total_steps:
-        raise ValueError(
-            f"budgets: sum {sum(budgets)} != total inner steps {total_steps}"
+        raise ParameterError(
+            "budgets", f"budgets: sum {sum(budgets)} != total inner steps {total_steps}"
         )
     return ScaleSchedule(tuple(zip(scales, budgets)))
 
@@ -97,25 +107,29 @@ class ReconConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+            raise ParameterError("algorithm", f"algorithm must be one of {ALGORITHMS}")
         for name in ("width", "height"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ParameterError(
+                    name, f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.pixel_size < math.inf:
-            raise ValueError(f"pixel_size must be > 0 and finite, got {self.pixel_size}")
+            raise ParameterError(
+                "pixel_size", f"pixel_size must be > 0 and finite, got {self.pixel_size}")
         if not 0 < self.relaxation <= 1:
-            raise ValueError("relaxation must be in (0, 1]")
+            raise ParameterError("relaxation", "relaxation must be in (0, 1]")
         if not 0 < self.eps_hu < math.inf:
-            raise ValueError(f"eps_hu must be > 0 and finite, got {self.eps_hu}")
+            raise ParameterError(
+                "eps_hu", f"eps_hu must be > 0 and finite, got {self.eps_hu}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ParameterError("iterations", "iterations must be >= 1")
         if self.algorithm != "sart" and self.tv_steps < 1:
-            raise ValueError(f"tv_steps must be >= 1 for {self.algorithm}")
+            raise ParameterError("tv_steps", f"tv_steps must be >= 1 for {self.algorithm}")
         if self.algorithm in ("ssatv1", "ssatv2"):
             angles = self.geometry.view_angles_deg()
             mid = (angles[0] + angles[-1]) / 2.0
             if not abs(mid % 180.0 - 90.0) < 45.0:
-                raise ValueError(
+                raise ParameterError(
+                    "algorithm",
                     f"{self.algorithm} widens along Y, the streak normal only of "
                     f"scans centred within 45 degrees of 90 (mod 180); the "
                     f"angular range {angles[0]:g}..{angles[-1]:g} degrees is "
@@ -123,7 +137,8 @@ class ReconConfig:
                 )
             coarsest = self.schedule().entries[0][0]
             if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
-                raise ValueError(
+                raise ParameterError(
+                    "levels",
                     f"levels = {self.levels} down-samples height = {self.height} "
                     f"to fewer than 2 rows at scale {coarsest}"
                 )

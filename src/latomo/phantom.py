@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ImageGrid, RoiRect, Sinogram, hu_to_mu
+from .core import ImageGrid, ParameterError, RoiRect, Sinogram, hu_to_mu
 
 log = logging.getLogger(__name__)
 
@@ -72,11 +72,14 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not self.incident_photons > 0:
-            raise ValueError("incident_photons must be > 0")
+            raise ParameterError(
+                "incident_photons",
+                f"incident_photons must be > 0, got {self.incident_photons}")
         if (isinstance(self.rng_seed, bool)
                 or not isinstance(self.rng_seed, numbers.Integral)
                 or self.rng_seed < 0):
-            raise ValueError("rng_seed must be an integer >= 0")
+            raise ParameterError(
+                "rng_seed", f"rng_seed must be an integer >= 0, got {self.rng_seed}")
 
 
 def rasterize(spec: PhantomSpec, width: int, height: int, pixel_size: float) -> ImageGrid:

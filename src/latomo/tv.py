@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .core import MU_PER_HU
+from .core import MU_PER_HU, ParameterError
 
 # The pull-back check of a sampled descent reports on the ssatv2 logger, the
 # variant that samples.
@@ -38,16 +38,17 @@ class LineSearchParams:
 
     def __post_init__(self):
         if not 0 < self.alpha < 0.5:
-            raise ValueError("alpha must be in (0, 0.5)")
+            raise ParameterError("alpha", f"alpha must be in (0, 0.5), got {self.alpha}")
         if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
+            raise ParameterError("beta", f"beta must be in (0, 1), got {self.beta}")
         if not 0 < self.t0 < math.inf:
-            raise ValueError("t0 must be finite and > 0")
+            raise ParameterError("t0", f"t0 must be finite and > 0, got {self.t0}")
         if (isinstance(self.max_shrinks, bool)
                 or not isinstance(self.max_shrinks, numbers.Integral)):
-            raise ValueError("max_shrinks must be an integer")
+            raise ParameterError("max_shrinks", "max_shrinks must be an integer")
         if self.max_shrinks < 0:
-            raise ValueError("max_shrinks must be >= 0")
+            raise ParameterError("max_shrinks",
+                                 f"max_shrinks must be >= 0, got {self.max_shrinks}")
 
 
 class RowOperator:

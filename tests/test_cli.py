@@ -83,6 +83,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             _load_ini(path, sets=["recon.turbo=1"])
 
+    @pytest.mark.parametrize("typo, message", [
+        ("[recon]\niteration = 1", r"^recon\.iteration: unknown key"),
+        ("[recon]\nalgoritm = ssatv1", r"^recon\.algoritm: unknown key"),
+        ("[gird]\nwidth = 64\n[recon]", r"^gird\.width: unknown key"),
+        ("[gird]\n[recon]", r"unknown section \[gird\]"),
+        ("[DEFAULT]\nwidth = 64\n[recon]", r"unknown section \[DEFAULT\]"),
+    ], ids=["iterations-typo", "algorithm-typo", "section-typo", "empty-section",
+            "default-section"])
+    def test_file_rejects_unknown_key(self, tmp_path, capsys, typo, message):
+        # once resolved silently to the defaults: wtv, 500 iterations, 512^2
+        path = write_config(tmp_path, TINY.replace("[recon]", typo, 1))
+        with pytest.raises(ConfigError, match=message):
+            _load_ini(path)
+        assert main(["run", str(path)]) == 1
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_budget_sum_error_names_field(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="budgets"):
@@ -161,6 +178,41 @@ def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
     assert not (tmp_path / "out").exists()
 
 
+# Sets that a library type rejects, each with the INI key the error must
+# name; several keys differ from the parameter names the types use.
+NAMED_ERRORS = [
+    (["recon.algorithm=ssatv1", "recon.levels=7"], "recon.levels"),
+    (["recon.algorithm=ssatv2", "recon.levels=5", "grid.height=16"], "recon.levels"),
+    (["recon.steps=0"], "recon.steps"),
+    (["recon.ls_beta=1.5"], "recon.ls_beta"),
+    (["recon.alpha=0.5"], "recon.alpha"),
+    (["recon.t0=0"], "recon.t0"),
+    (["recon.max_shrinks=-1"], "recon.max_shrinks"),
+    (["recon.relaxation=1.5"], "recon.relaxation"),
+    (["recon.eps_hu=0"], "recon.eps_hu"),
+    (["recon.iterations=0"], "recon.iterations"),
+    (["recon.algorithm=magic"], "recon.algorithm"),
+    (["recon.algorithm=ssatv1", "geometry.angle_start=0", "geometry.angle_end=40"],
+     "recon.algorithm"),
+    (["recon.algorithm=ssatv1", "recon.levels=3", "recon.budgets=3 3 3"],
+     "recon.budgets"),
+    (["recon.algorithm=ssatv1", "recon.levels=3", "recon.steps=7"], "recon.budgets"),
+    (["noise.photons=0"], "noise.photons"),
+    (["noise.photons=1e5", "noise.seed=-1"], "noise.seed"),
+]
+
+
+@pytest.mark.parametrize("sets, key", NAMED_ERRORS,
+                         ids=[" ".join(sets) for sets, _ in NAMED_ERRORS])
+def test_error_names_the_ini_key(tmp_path, capsys, sets, key):
+    path = write_config(tmp_path)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
+        build_experiment(_load_ini(path, sets))
+    assert main(["run", str(path)] + [arg for s in sets for arg in ("--set", s)]) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_noise_seed_rejected_before_any_write(tmp_path, capsys):
     path = write_config(tmp_path)
     sets = ["noise.photons=1e5", "noise.seed=-1"]
@@ -231,9 +283,9 @@ class TestRunExperiment:
         path = write_config(tmp_path)
         out = run_experiment(path)
         # 10-170 degrees in 8-degree steps: 21 views, 10 mirror pairs and
-        # no two angles summing to 90 degrees
-        assert re.search(r"projector: 11 views stored, 10 mirrored, [0-9.]+ MB "
-                         r"\(11 traced, 0 reflected\)", caplog.text)
+        # no two angles 90 degrees apart or summing to 90 degrees
+        assert re.search(r"projector: 11 views traced, 10 mirrored, 0 reflected, "
+                         r"[0-9.]+ MB", caplog.text)
         for name in (
             "config_echo.ini",
             "ground_truth.raw",
@@ -252,9 +304,10 @@ class TestRunExperiment:
         caplog.set_level(logging.INFO, logger="latomo.cli")
         path = write_config(tmp_path)
         run_experiment(path, sets=["geometry.angle_increment=5", "recon.iterations=1"])
-        # 33 views, 16 mirrored; of 10-90 degrees, 50-80 reflect 10-40
-        assert re.search(r"projector: 17 views stored, 16 mirrored, [0-9.]+ MB "
-                         r"\(10 traced, 7 reflected\)", caplog.text)
+        # 33 views: 10-45, 85 and 90 traced; 50-80 reflect 40-10, 100-130
+        # rotate 10-40, and 95 and 135-170 mirror 85 and 45-10
+        assert re.search(r"projector: 10 views traced, 9 mirrored, 14 reflected, "
+                         r"[0-9.]+ MB", caplog.text)
 
     def test_too_short_pyramid_rejected_before_any_write(self, tmp_path):
         # 16 rows at scale 16 leave one coarse row

@@ -221,8 +221,8 @@ class TestViewSums:
         proj = Projector(SMALL_GEOM, 4, 4, 2.0)
         sums = proj.view_sums(0)
         assert np.count_nonzero(sums.row_sums == 0) == 14
-        matrix, _, _, _, flipped = proj._stored(0)
-        assert not flipped
+        (matrix, _, _, _), frame, _ = proj._stored(0)
+        assert frame == (False, False)
         entries_per_ray = np.diff(matrix.indptr)
         npt.assert_array_equal(entries_per_ray == 0, sums.row_sums == 0)
 
@@ -238,7 +238,7 @@ class TestGridWiderThanFan:
     @pytest.mark.parametrize("view", [0, 3, 12])  # view 12 mirrors view 3
     def test_sart_matches_dense_oracle(self, view):
         proj = self.projector()
-        assert proj._stored(view)[-1] == (view == 12)
+        assert proj._stored(view)[1] == (view == 12, False)
         uncovered = proj.view_sums(view).col_sums == 0
         assert np.count_nonzero(uncovered) > 80
         assert_sart_matches_dense_oracle(proj, view, seed=22 + view)
@@ -253,7 +253,7 @@ class TestGridWiderThanFan:
         dense = dense_view_matrix(proj, view)
         npt.assert_array_equal(sums.col_sums == 0, ~dense.any(axis=0).reshape(16, 16))
         npt.assert_allclose(sums.col_sums.ravel(), dense.sum(axis=0), rtol=1e-12)
-        assert np.all(proj._stored(view)[3] > 0)
+        assert np.all(proj._stored(view)[0][3] > 0)
 
     def test_transpose_shares_the_matrix_arrays(self):
         proj = self.projector()
@@ -278,8 +278,16 @@ MIRRORED_SCANS = {
 
 
 def traced_dense(proj, view_index):
-    """A view's matrix traced afresh, never through its mirror partner."""
+    """A view's matrix traced afresh, never through a symmetry partner."""
     return proj._trace(view_index)[0].toarray()
+
+
+def applied_dense(proj, view_index):
+    """A view's matrix as the projector applies it: row c is the
+    back-projection of channel c alone."""
+    channels = proj.geom.detector_channels
+    return np.stack([proj.backproject_view(np.eye(channels)[c], view_index).ravel()
+                     for c in range(channels)])
 
 
 class TestMirrorSharing:
@@ -291,15 +299,10 @@ class TestMirrorSharing:
         assert proj.mirrored_views == views // 2
         rng = np.random.default_rng(18)
         for view in range(views // 2 + views % 2, views):
-            assert proj._stored(view)[-1]
+            assert proj._stored(view)[1] == (True, False)
             fresh = traced_dense(proj, view)
             tol = 1e-9 * fresh.max()
-            # row c of the applied operator is its back-projection of e_c
-            applied = np.stack([
-                proj.backproject_view(np.eye(geom.detector_channels)[c], view).ravel()
-                for c in range(geom.detector_channels)
-            ])
-            npt.assert_allclose(applied, fresh, rtol=0, atol=tol)
+            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
             f = rng.uniform(0.0, 0.04, (height, width))
             npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
                                 rtol=1e-9, atol=tol)
@@ -322,7 +325,7 @@ class TestMirrorSharing:
 
     def test_mirrored_sart_matches_dense_oracle(self):
         proj = small_projector(8, 8, 16.0)
-        assert proj._stored(10)[-1]
+        assert proj._stored(10)[1] == (True, False)
         assert_sart_matches_dense_oracle(proj, 10, seed=20)
 
     @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
@@ -336,73 +339,54 @@ class TestMirrorSharing:
                      + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
         assert proj.nbytes == stored
 
-    @pytest.mark.parametrize("geom", [
-        FanBeamGeometry(400.0, 200.0, 16, 8.0, 0.0, 170.0, 10.0),
-    ], ids=["0-170"])
-    def test_asymmetric_scans_store_every_view(self, geom):
-        proj = Projector(geom, 8, 8, 16.0)
-        assert proj.mirrored_views == 0
-        proj.forward(np.ones((8, 8)))
-        assert len(proj._views) == geom.num_views
-        for view in (0, geom.num_views - 2, geom.num_views - 1):
-            assert not proj._stored(view)[-1]
-            assert_sart_matches_dense_oracle(proj, view, seed=21 + view)
 
-
-# (geometry, width, height, pixel size): square grids whose stored views pair
-# up as beta and 90 - beta
+# (geometry, width, height, pixel size): square grids with views beta and
+# 90 - beta
 DIAGONAL_SCANS = {
     "degeneracy-64-1deg": (replace(DEGENERACY_GEOM, angle_increment=1.0), 64, 64, 2.0),
     "small-0-180-5deg": (replace(SMALL_GEOM, angle_increment=5.0), 32, 32, 4.0),
-    # no mirror pairs; 360 reflects 90, itself the reflection of 0
+    # 90, 405 and 450 reflect 0, 45 and 0; 360 rotates 270; 135, 180 and
+    # 315 mirror 45, 0 and 225
     "small-0-450-45deg": (replace(SMALL_GEOM, angle_end=450.0, angle_increment=45.0),
                           16, 16, 4.0),
 }
 
 
-def pattern(matrix, floor):
-    """Entries per row and their columns, counting only weights above floor."""
-    keep = matrix.data > floor
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    return np.bincount(rows[keep], minlength=matrix.shape[0]), matrix.indices[keep]
+def transposed_views(proj):
+    """(view, traced view it is applied through) for every view applied with
+    a transpose."""
+    return [(view, source) for view, (source, _, transposed)
+            in enumerate(proj._symmetry) if transposed]
 
 
 class TestDiagonalReflection:
     @pytest.mark.parametrize("scan, traced, reflected", [
-        ("degeneracy-64-1deg", 46, 35),  # 10-90 stored; 46-80 reflect 10-44
-        ("small-0-180-5deg", 10, 9),     # 0-90 stored; 50-90 reflect 0-40
-        ("small-0-450-45deg", 5, 6),     # 0, 45, 135, 180 and 225 traced
+        ("degeneracy-64-1deg", 46, 70),  # 10-55 traced
+        ("small-0-180-5deg", 10, 17),    # 0-45 traced
+        ("small-0-450-45deg", 4, 4),     # 0, 45, 225 and 270 traced
     ])
     def test_reflected_views_equal_fresh_traces(self, scan, traced, reflected):
         geom, width, height, pixel = DIAGONAL_SCANS[scan]
         proj = Projector(geom, width, height, pixel)
         assert proj.reflected_views == reflected
         assert geom.num_views - proj.mirrored_views - reflected == traced
-        for view, partner in proj._reflected_from.items():
-            angles = proj.angles_deg[[partner, view]]
-            assert np.sin(np.radians(angles.sum())) == pytest.approx(1.0)
-            assert partner < view
-            assert not proj._mirrored[partner]
-            derived, _, row_sums, _, flipped = proj._stored(view)
-            assert not flipped
-            fresh = proj._trace(view)[0]
-            floor = 1e-12 * fresh.data.max()
-            # at a multiple of 90 degrees, cos or sin is ~1e-16 instead of 0,
-            # which leaves ~1e-14 mm slivers where a ray grazes a pixel
-            # corner; a reflection inherits its partner's slivers instead
-            if proj.angles_deg[view] % 90.0 != 0.0:
-                floor = -1.0
-            for got, want in zip(pattern(derived, floor), pattern(fresh, floor)):
-                npt.assert_array_equal(got, want)
-            npt.assert_allclose(derived.toarray(), fresh.toarray(), rtol=0,
-                                atol=1e-12 * fresh.data.max())
-            npt.assert_array_equal(row_sums, proj._stored(partner)[2][::-1])
+        for view, source in transposed_views(proj):
+            assert source < view and proj._symmetry[source] == (source, False, False)
+            partner, beta = proj.angles_deg[[source, view]]
+            rotated = proj._symmetry[view][1]
+            relation = beta - partner if rotated else beta + partner  # 90 mod 360
+            assert np.sin(np.radians(relation)) == pytest.approx(1.0)
+            fresh = traced_dense(proj, view)
+            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0,
+                                atol=1e-12 * fresh.max())
+            npt.assert_array_equal(proj.view_sums(view).row_sums,
+                                   proj._views[source][2][::proj._stored(view)[2]])
 
     def test_adjoint_identity_on_reflected_views(self):
         geom, width, height, pixel = DIAGONAL_SCANS["small-0-180-5deg"]
         proj = Projector(geom, width, height, pixel)
         rng = np.random.default_rng(23)
-        for view in proj._reflected_from:
+        for view, _ in transposed_views(proj):
             f = rng.standard_normal((height, width))
             q = rng.standard_normal(geom.detector_channels)
             af = proj.forward_view(f, view)
@@ -414,7 +398,7 @@ class TestDiagonalReflection:
     def test_reflected_sart_matches_dense_oracle(self, view):
         geom = DIAGONAL_SCANS["small-0-180-5deg"][0]
         proj = Projector(geom, 8, 8, 16.0)
-        assert view in proj._reflected_from
+        assert proj._stored(view)[1] == (False, True)
         assert_sart_matches_dense_oracle(proj, view, seed=24 + view)
 
     @pytest.mark.parametrize("geom, width, height, pixel", [
@@ -437,10 +421,99 @@ class TestDiagonalReflection:
         geom, width, height, pixel = DIAGONAL_SCANS["degeneracy-64-1deg"]
         proj = Projector(geom, width, height, pixel)
         proj.forward(np.ones((height, width)))
-        assert len(proj._views) == geom.num_views - proj.mirrored_views
+        # reflected views store nothing of their own
+        assert len(proj._views) == (geom.num_views - proj.mirrored_views
+                                    - proj.reflected_views)
         stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                      + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
         assert proj.nbytes == stored
-        reflected = [proj._views[view][0] for view in proj._reflected_from]
         assert all(m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
-                   for m in reflected)
+                   for m, _, _, _ in proj._views.values())
+
+
+# (geometry, width, height, pixel size, traced, mirrored, reflected): every
+# view of a scan is traced, applied through an X flip (mirrored), or applied
+# through a transpose with or without a flip (reflected or rotated)
+SYMMETRY_SCANS = {
+    "64-1deg": (*DIAGONAL_SCANS["degeneracy-64-1deg"], 46, 45, 70),
+    "0-180-5deg": (*DIAGONAL_SCANS["small-0-180-5deg"], 10, 10, 17),
+    "0-450-45deg": (*DIAGONAL_SCANS["small-0-450-45deg"], 4, 3, 4),
+    # not symmetric as a whole (0 has no 180), yet 10-170 pair up
+    "0-170-5deg": (replace(SMALL_GEOM, angle_end=170.0, angle_increment=5.0),
+                   16, 16, 4.0, 10, 8, 17),
+    "rectangular": (replace(SMALL_GEOM, angle_increment=5.0), 32, 16, 4.0, 19, 18, 0),
+}
+
+
+class TestViewSymmetry:
+    @pytest.fixture(params=sorted(SYMMETRY_SCANS))
+    def scan(self, request):
+        geom, width, height, pixel, *counts = SYMMETRY_SCANS[request.param]
+        return Projector(geom, width, height, pixel), counts
+
+    def test_views_equal_fresh_traces(self, scan):
+        proj, _ = scan
+        rng = np.random.default_rng(25)
+        for view in range(len(proj.angles_deg)):
+            fresh = traced_dense(proj, view)
+            tol = 1e-12 * fresh.max()
+            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
+            f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
+            npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
+                                rtol=1e-12, atol=tol)
+            sums = proj.view_sums(view)
+            npt.assert_allclose(sums.row_sums, fresh.sum(axis=1), rtol=0,
+                                atol=tol * proj.width)
+            npt.assert_allclose(sums.col_sums.ravel(), fresh.sum(axis=0), rtol=0,
+                                atol=tol * proj.geom.detector_channels)
+
+    def test_adjoint_identity(self, scan):
+        proj, _ = scan
+        rng = np.random.default_rng(26)
+        for view in range(len(proj.angles_deg)):
+            f = rng.standard_normal((proj.height, proj.width))
+            q = rng.standard_normal(proj.geom.detector_channels)
+            af = proj.forward_view(f, view)
+            atq = proj.backproject_view(q, view)
+            gap = abs(float(af @ q) - float((f * atq).sum()))
+            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
+
+    def test_sart_matches_dense_oracle(self, scan):
+        proj, _ = scan
+        # the first mirrored, reflected and rotated view, where the scan has one
+        first = {}
+        for view, (_, flip, transposed) in enumerate(proj._symmetry):
+            if flip or transposed:
+                first.setdefault((flip, transposed), view)
+        assert (True, False) in first
+        for view in first.values():
+            assert_sart_matches_dense_oracle(proj, view, seed=27 + view)
+
+    def test_counts(self, scan):
+        proj, (traced, mirrored, reflected) = scan
+        assert proj.mirrored_views == mirrored
+        assert proj.reflected_views == reflected
+        sources = [source for source, _, _ in proj._symmetry]
+        assert sorted(set(sources)) == [view for view, source in enumerate(sources)
+                                        if view == source]
+        assert len(set(sources)) == traced == len(sources) - mirrored - reflected
+
+    def test_nbytes_is_the_traced_views(self, scan):
+        proj, (traced, _, _) = scan
+        assert proj.nbytes == 0
+        proj.forward(np.ones((proj.height, proj.width)))
+        assert len(proj._views) == traced
+        assert proj.nbytes == sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + r.nbytes + c.nbytes
+            for m, _, r, c in proj._views.values())
+
+
+def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
+    # cos(pi/2) is 6e-17, not 0; an inexact direction split corner-grazing
+    # rays into a segment and a ~1e-14 mm sliver
+    geom = replace(DEGENERACY_GEOM, angle_start=0.0, angle_end=90.0, angle_increment=90.0)
+    proj = Projector(geom, 64, 64, 2.0)
+    assert proj._stored(1)[1:] == ((False, True), -1)
+    fresh = proj._trace(1)[0]
+    assert fresh.data.min() > 1e-9
+    npt.assert_array_equal(fresh.toarray() != 0, applied_dense(proj, 1) != 0)
