@@ -149,7 +149,8 @@ class ExperimentConfig:
 
 
 def _parse(text: str, source: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are taken as written: a `%` is a character, not interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     cp.read_string(text, source=source)
     return cp
 

@@ -14,6 +14,7 @@ display/metric convention converted at the boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,12 @@ class ParameterError(ValueError):
     def __init__(self, name: str, message: str):
         super().__init__(message)
         self.name = name
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer (a bool is not): NaN, inf and 2.5
+    are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def hu_to_mu(hu):
@@ -141,7 +148,8 @@ class FanBeamGeometry:
             raise ValueError(
                 "require 0 < source_to_isocenter < source_to_detector < inf"
             )
-        if self.detector_channels < 1 or not 0 < self.channel_size < math.inf:
+        if (not is_count(self.detector_channels) or self.detector_channels < 1
+                or not 0 < self.channel_size < math.inf):
             raise ValueError("invalid detector description")
         if not (0 < self.angle_increment < math.inf
                 and -math.inf < self.angle_start <= self.angle_end < math.inf):

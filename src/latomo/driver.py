@@ -24,6 +24,7 @@ from .core import (
     ParameterError,
     RoiRect,
     Sinogram,
+    is_count,
     roi_rmse,
 )
 from .projector import Projector
@@ -76,6 +77,8 @@ def make_scale_schedule(l_max: int, total_steps: int = 10,
                 "built-in budgets cover total_steps=10; pass budgets explicitly",
             )
         budgets = _DEFAULT_BUDGETS[l_max]
+    if not all(is_count(b) for b in budgets):
+        raise ParameterError("budgets", f"budgets: expected integers, got {budgets}")
     budgets = tuple(int(b) for b in budgets)
     if len(budgets) != l_max:
         raise ParameterError(
@@ -108,6 +111,10 @@ class ReconConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ParameterError("algorithm", f"algorithm must be one of {ALGORITHMS}")
+        for name in ("width", "height", "tv_steps", "levels", "iterations"):
+            if not is_count(getattr(self, name)):
+                raise ParameterError(
+                    name, f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("width", "height"):
             if getattr(self, name) < 1:
                 raise ParameterError(

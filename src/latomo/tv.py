@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import MU_PER_HU, ParameterError
+from .core import MU_PER_HU, ParameterError, is_count
 
 # The pull-back check of a sampled descent reports on the ssatv2 logger, the
 # variant that samples.
@@ -43,8 +42,7 @@ class LineSearchParams:
             raise ParameterError("beta", f"beta must be in (0, 1), got {self.beta}")
         if not 0 < self.t0 < math.inf:
             raise ParameterError("t0", f"t0 must be finite and > 0, got {self.t0}")
-        if (isinstance(self.max_shrinks, bool)
-                or not isinstance(self.max_shrinks, numbers.Integral)):
+        if not is_count(self.max_shrinks):
             raise ParameterError("max_shrinks", "max_shrinks must be an integer")
         if self.max_shrinks < 0:
             raise ParameterError("max_shrinks",
@@ -100,8 +98,9 @@ def forward_diff_op(height: int) -> RowOperator:
 
 
 def _dx(f: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[:, 1:] = f[:, 1:] - f[:, :-1]
+    out = np.empty_like(f)
+    np.subtract(f[:, 1:], f[:, :-1], out=out[:, 1:])
+    out[:, 0] = 0.0
     return out
 
 
@@ -120,7 +119,11 @@ def _magnitude(f: np.ndarray, yop: RowOperator,
     """X and Y differences of ``f`` and their ``delta_mu``-smoothed magnitude."""
     gx = _dx(f)
     gy = yop.apply(f)
-    return gx, gy, np.sqrt(gx * gx + gy * gy + delta_mu * delta_mu)
+    norm = gx * gx
+    norm += gy * gy
+    if delta_mu:  # a sum of squares is never -0.0, so + 0.0 would change no bit
+        norm += delta_mu * delta_mu
+    return gx, gy, np.sqrt(norm, out=norm)
 
 
 def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,

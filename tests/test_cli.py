@@ -100,6 +100,26 @@ class TestConfigParsing:
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_percent_in_file_value_is_a_character(self, tmp_path, capsys, monkeypatch):
+        # once rejected as interpolation syntax, naming no key
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, TINY + "\n[phantom]\nspec = 100%.phantom\n")
+        with pytest.raises(ConfigError, match=r"^phantom\.spec: cannot read 100%\.phantom"):
+            build_experiment(_load_ini(path))
+        assert main(["run", str(path)]) == 1
+        assert "error: phantom.spec: cannot read 100%.phantom" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_in_set_value_runs_and_is_echoed(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "100%"
+        argv = ["run", str(path), "--set", f"output.dir={out}",
+                "--set", "recon.iterations=1"]
+        assert main(argv) == 0
+        echo = out / "config_echo.ini"
+        assert f"dir = {out}\n" in echo.read_text()
+        assert _load_ini(echo).get("output", "dir") == str(out)
+
     def test_budget_sum_error_names_field(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="budgets"):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.sparse import csr_array
 
 from latomo.core import FanBeamGeometry
 from latomo.projector import Projector
@@ -517,3 +518,117 @@ def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
     fresh = proj._trace(1)[0]
     assert fresh.data.min() > 1e-9
     npt.assert_array_equal(fresh.toarray() != 0, applied_dense(proj, 1) != 0)
+
+
+def reference_trace(proj, view_index):
+    """The trace as first written, one full-width array per step, kept as
+    an oracle: the five arrays ``Projector._trace`` must reproduce byte for
+    byte (data, indices, indptr, row sums, column divisors), then the number
+    of rays with a zero direction component and of positive-length segments
+    whose midpoint falls outside the grid."""
+    geom = proj.geom
+    beta = np.radians(proj.angles_deg[view_index])
+    direction = np.array([np.cos(beta), np.sin(beta)])
+    if proj.angles_deg[view_index] % 90.0 == 0.0:
+        direction = np.round(direction) + 0.0
+    src = geom.source_to_isocenter * direction
+    det_center = -(geom.source_to_detector - geom.source_to_isocenter) * direction
+    u_hat = np.array([-direction[1], direction[0]])
+    n_chan = geom.detector_channels
+    offsets = (np.arange(n_chan) - (n_chan - 1) / 2.0) * geom.channel_size
+    targets = det_center[None, :] + offsets[:, None] * u_hat[None, :]
+    vec = targets - src[None, :]
+
+    p = proj.pixel_size
+    x_planes = proj.x_lo + p * np.arange(proj.width + 1)
+    y_planes = proj.y_lo + p * np.arange(proj.height + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = (x_planes[None, :] - src[0]) / vec[:, 0:1]
+        ty = (y_planes[None, :] - src[1]) / vec[:, 1:2]
+
+    def slab(tvals, v_comp, s_comp, lo, hi):
+        first, last = tvals[:, 0], tvals[:, -1]
+        inside = (s_comp >= lo) & (s_comp <= hi)
+        tmin = np.where(v_comp != 0, np.minimum(first, last),
+                        np.where(inside, -np.inf, np.inf))
+        tmax = np.where(v_comp != 0, np.maximum(first, last),
+                        np.where(inside, np.inf, -np.inf))
+        return tmin, tmax
+
+    tx_min, tx_max = slab(tx, vec[:, 0], src[0], x_planes[0], x_planes[-1])
+    ty_min, ty_max = slab(ty, vec[:, 1], src[1], y_planes[0], y_planes[-1])
+    t_enter = np.maximum(np.maximum(tx_min, ty_min), 0.0)
+    t_exit = np.minimum(np.minimum(tx_max, ty_max), 1.0)
+    hit = t_enter < t_exit
+    t_enter = np.where(hit, t_enter, 0.0)
+    t_exit = np.where(hit, t_exit, 0.0)
+
+    alphas = np.concatenate([tx, ty, t_enter[:, None], t_exit[:, None]], axis=1)
+    lo = t_enter[:, None]
+    alphas = np.where(np.isfinite(alphas), alphas, lo)
+    alphas = np.minimum(np.maximum(alphas, lo), t_exit[:, None])
+    alphas.sort(axis=1)
+
+    seg = np.diff(alphas, axis=1)
+    t_mid = 0.5 * (alphas[:, 1:] + alphas[:, :-1])
+    mid_x = src[0] + t_mid * vec[:, 0:1]
+    mid_y = src[1] + t_mid * vec[:, 1:2]
+    ix = np.floor((mid_x - proj.x_lo) / p).astype(np.int64)
+    iy = np.floor((mid_y - proj.y_lo) / p).astype(np.int64)
+    in_grid = (ix >= 0) & (ix < proj.width) & (iy >= 0) & (iy < proj.height)
+    valid = (seg > 0) & hit[:, None] & in_grid
+    ray_len = np.sqrt(np.sum(vec * vec, axis=1))[:, None]
+    weights = (seg * ray_len)[valid]
+    pixels = (iy * proj.width + ix)[valid].astype(np.int32)
+    indptr = np.zeros(n_chan + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.count_nonzero(valid, axis=1))
+    n_pix = proj.width * proj.height
+    matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
+    row_sums = matrix @ np.ones(n_pix)
+    col_divisors = (matrix.T @ np.ones(n_chan)).reshape(proj.height, proj.width)
+    col_divisors[col_divisors == 0.0] = 1.0
+    arrays = (matrix.data, matrix.indices, matrix.indptr, row_sums, col_divisors)
+    dropped = np.count_nonzero((seg > 0) & hit[:, None] & ~in_grid)
+    return arrays, np.count_nonzero(vec == 0), dropped
+
+
+# (geometry, width, height, pixel size): the scans the trace oracle covers
+ORACLE_SCANS = {
+    "10-170-reduced": (DEGENERACY_GEOM, 64, 64, 2.0),
+    # the central ray of 15 runs along an axis: zero direction components
+    "odd-0-90-180": (replace(SMALL_GEOM, detector_channels=15, angle_increment=90.0),
+                     32, 32, 4.0),
+    "grid-33x21": (SMALL_GEOM, 33, 21, 4.0),
+    # a 32 mm grid under a 64 mm wide fan: the outer rays miss it
+    "fan-wider-than-grid": (SMALL_GEOM, 8, 8, 4.0),
+    # odd too, and past 180 degrees
+    "0-345-15deg": (replace(SMALL_GEOM, detector_channels=17, angle_end=345.0,
+                            angle_increment=15.0), 32, 32, 4.0),
+    # the central ray crosses grid corners, and rounding puts some midpoints
+    # of positive-length segments just outside the grid
+    "corner-45deg": (FanBeamGeometry(250.0, 180.0, 9, 1.0, 45.0, 45.0, 1.0), 31, 25, 1.0),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(ORACLE_SCANS))
+def test_trace_equals_reference_byte_for_byte(scan):
+    geom, width, height, pixel = ORACLE_SCANS[scan]
+    proj = Projector(geom, width, height, pixel)
+    axis_rays = dropped = missed = 0
+    for view in range(geom.num_views):
+        expected, zeros, outside = reference_trace(proj, view)
+        matrix, transpose, row_sums, col_divisors = proj._trace(view)
+        got = (matrix.data, matrix.indices, matrix.indptr, row_sums, col_divisors)
+        for name, a, b in zip(("data", "indices", "indptr", "row sums",
+                               "column divisors"), got, expected):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (view, name)
+            assert a.tobytes() == b.tobytes(), (view, name)
+        assert transpose.shape == (width * height, geom.detector_channels)
+        axis_rays += zeros
+        dropped += outside
+        missed += np.count_nonzero(row_sums == 0)
+    # each scan reaches the case it is here for
+    assert (axis_rays > 0) == (scan in ("odd-0-90-180", "0-345-15deg"))
+    assert (dropped > 0) == (scan == "corner-45deg")
+    if scan == "fan-wider-than-grid":
+        assert missed > 0
