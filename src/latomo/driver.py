@@ -34,8 +34,8 @@ from .tv import (
     LineSearchParams,
     descent_steps,
     forward_diff_op,
-    tv_value,
-    tv_weights,
+    reweighted_value,
+    rung_of,
 )
 
 ALGORITHMS = ("sart", "wtv", "ssatv1", "ssatv2")
@@ -209,25 +209,31 @@ def _check_sinogram(geom: FanBeamGeometry, sino: Sinogram):
         raise ValueError("sinogram has non-finite values")
 
 
-def _regularization_phase(f: np.ndarray, config: ReconConfig) -> tuple[np.ndarray, tuple[float, ...]]:
+def _regularization_phase(f: np.ndarray, config: ReconConfig,
+                          rungs: dict[int, int]) -> tuple[np.ndarray, tuple[float, ...]]:
+    """One regularization phase.  ``rungs`` maps each schedule entry to the
+    rung its first line search accepted in the previous phase of the run;
+    each entry's first search starts there, and the map is updated."""
     params = config.line_search
     if config.algorithm == "sart":
         return f, ()
     if config.algorithm == "wtv":
         yop = forward_diff_op(f.shape[0])
-        w = tv_weights(f, config.eps_hu, yop)
-        f, sizes = descent_steps(f, w, yop, config.tv_steps, params, config.eps_hu)
+        f, sizes = descent_steps(f, None, yop, config.tv_steps, params, config.eps_hu,
+                                 start=rungs.get(0, 0))
+        if sizes:
+            rungs[0] = rung_of(sizes[0], params)
         return f, tuple(sizes)
     sizes_all: list[float] = []
-    if config.algorithm == "ssatv1":
-        for scale, steps in config.schedule().entries:
-            f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params)
-            sizes_all.extend(sizes)
-        return f, tuple(sizes_all)
-    # ssatv2: a fresh level per scale, weights seeded from the current image
-    for scale, steps in config.schedule().entries:
-        level = make_pyramid_level(f, scale, config.eps_hu)
-        f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params)
+    for entry, (scale, steps) in enumerate(config.schedule().entries):
+        start = rungs.get(entry, 0)
+        if config.algorithm == "ssatv1":
+            f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params, start=start)
+        else:  # ssatv2: a fresh level per scale, weights seeded from the current image
+            level = make_pyramid_level(f, scale, config.eps_hu)
+            f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params, start=start)
+        if sizes:
+            rungs[entry] = rung_of(sizes[0], params)
         sizes_all.extend(sizes)
     return f, tuple(sizes_all)
 
@@ -268,15 +274,16 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
     log = ConvergenceLog()
     p = sinogram.data
     yop1 = forward_diff_op(config.height)
+    rungs: dict[int, int] = {}
     for n in range(config.iterations):
         started = time.perf_counter()
         for view in range(geom.num_views):
             f = projector.sart_update_view(f, p[view], view, config.relaxation)
         f = np.maximum(f, 0.0)
-        f, step_sizes = _regularization_phase(f, config)
+        f, step_sizes = _regularization_phase(f, config, rungs)
         f = np.maximum(f, 0.0)
 
-        objective = tv_value(f, tv_weights(f, config.eps_hu, yop1), yop1)
+        objective = reweighted_value(f, config.eps_hu, yop1)
         roi_err = full_err = None
         if reference is not None:
             img = ImageGrid(config.width, config.height, config.pixel_size, f)

@@ -61,12 +61,13 @@ def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
 
 
 def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
-                params: LineSearchParams) -> tuple[np.ndarray, list[float]]:
+                params: LineSearchParams, start: int = 0) -> tuple[np.ndarray, list[float]]:
     """``steps`` coarse-grid descent iterations pulled back to the fine grid.
 
     Each iteration: down-sample, take the weighted-TV gradient with the
     level's frozen weights, find the step on the coarse image, then update
-    the fine image along the adjoint-up-sampled direction.
+    the fine image along the adjoint-up-sampled direction.  The first line
+    search starts at rung ``start``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -78,4 +79,5 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
             f"(scale {level.scale})"
         )
     return descent_steps(f, level.weights, forward_diff_op(down.shape[0]),
-                         steps, params, eps_hu, down if level.scale > 1 else None)
+                         steps, params, eps_hu, down if level.scale > 1 else None,
+                         start)

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 
 from .core import MU_PER_HU, ParameterError, is_count
 
@@ -58,6 +59,11 @@ class RowOperator:
     exactly zero on constant images and makes the transpose (``apply_t``) the
     exact adjoint including the boundary bookkeeping; with a stride > 1 it is
     the adjoint up-sampler.  ``shape`` is (output rows, input rows).
+
+    ``apply`` and ``apply_t`` write into ``out`` when it is given: a
+    C-contiguous float64 buffer of the output's shape, distinct from the
+    input.  The product runs scipy's own kernel on the zeroed buffer, so its
+    bits are those of the allocating ``mat @ f``.
     """
 
     def __init__(self, taps, anchor: int, height: int, stride: int = 1):
@@ -73,11 +79,26 @@ class RowOperator:
         self._mat = mat
         self._mat_t = mat.T.tocsr()
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._mat @ f
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _product(self._mat, f, out)
 
-    def apply_t(self, v: np.ndarray) -> np.ndarray:
-        return self._mat_t @ v
+    def apply_t(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _product(self._mat_t, v, out)
+
+
+def _product(mat: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return mat @ x
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if (x.shape[0] != mat.shape[1] or out.shape != (mat.shape[0], x.shape[1])
+            or out.dtype != np.float64 or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(mat.shape[0], x.shape[1])} for an input of shape "
+                         f"{x.shape} (operator {mat.shape})")
+    out.fill(0.0)
+    _csr_matvecs(*mat.shape, x.shape[1], mat.indptr, mat.indices, mat.data,
+                 x.ravel(), out.ravel())
+    return out
 
 
 _row_op_cache: dict[tuple, RowOperator] = {}
@@ -97,13 +118,6 @@ def forward_diff_op(height: int) -> RowOperator:
     return row_operator(np.array([1.0, -1.0]), 0, height)
 
 
-def _dx(f: np.ndarray) -> np.ndarray:
-    out = np.empty_like(f)
-    np.subtract(f[:, 1:], f[:, :-1], out=out[:, 1:])
-    out[:, 0] = 0.0
-    return out
-
-
 # -- generic weighted-TV machinery (parameterized by the Y operator) --------
 
 def _eps_mu(eps_hu: float) -> float:
@@ -114,49 +128,109 @@ def _eps_mu(eps_hu: float) -> float:
     return MU_PER_HU * eps_hu
 
 
-def _magnitude(f: np.ndarray, yop: RowOperator,
-               delta_mu: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X and Y differences of ``f`` and their ``delta_mu``-smoothed magnitude."""
-    gx = _dx(f)
-    gy = yop.apply(f)
-    norm = gx * gx
-    norm += gy * gy
-    if delta_mu:  # a sum of squares is never -0.0, so + 0.0 would change no bit
-        norm += delta_mu * delta_mu
-    return gx, gy, np.sqrt(norm, out=norm)
+class Differences:
+    """The X differences ``dx`` (backward, zero in column 0), the Y
+    differences ``dy = Y·f`` and their sum of squares ``sq = dx² + dy²`` of
+    one image, in buffers that can be filled again for the next image.
+
+    One fill serves every use of an image's differences: its weights, its TV
+    value and its gradient.  :func:`tv_gradient` uses them up.
+    """
+
+    __slots__ = ("dx", "dy", "sq")
+
+    def __init__(self, shape):
+        self.dx, self.dy, self.sq = np.empty(shape), np.empty(shape), np.empty(shape)
+
+    def fill(self, f: np.ndarray, yop: RowOperator,
+             scratch: np.ndarray | None = None) -> Differences:
+        """Differences of ``f``.  ``scratch`` is an image-size buffer for
+        ``dy²``; it may be ``f`` itself, which is read first."""
+        np.subtract(f[:, 1:], f[:, :-1], out=self.dx[:, 1:])
+        self.dx[:, 0] = 0.0
+        yop.apply(f, out=self.dy)
+        np.multiply(self.dx, self.dx, out=self.sq)
+        self.sq += np.multiply(self.dy, self.dy, out=scratch)
+        return self
+
+    def magnitude(self, delta_mu: float = 0.0,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """The ``delta_mu``-smoothed gradient magnitude sqrt(sq + delta_mu²)."""
+        if delta_mu:  # a sum of squares is never -0.0, so + 0.0 would change no bit
+            out = np.add(self.sq, delta_mu * delta_mu, out=out)
+            return np.sqrt(out, out=out)
+        return np.sqrt(self.sq, out=out)
+
+
+def _reweight(magnitude: np.ndarray, eps_mu: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    out = np.add(magnitude, eps_mu, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _weighted_sum(w, magnitude: np.ndarray) -> float:
+    """sum(w * magnitude), overwriting ``magnitude``."""
+    return float(np.sum(np.multiply(w, magnitude, out=magnitude)))
 
 
 def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
-             delta_mu: float = 0.0) -> float:
+             delta_mu: float = 0.0, diffs: Differences | None = None,
+             scratch: np.ndarray | None = None) -> float:
     """Weighted TV value; ``delta_mu > 0`` gives the smoothed functional that
-    :func:`tv_gradient` differentiates exactly."""
-    return float(np.sum(w * _magnitude(f, yop, delta_mu)[2]))
+    :func:`tv_gradient` differentiates exactly.
+
+    A caller that keeps the differences of ``f`` passes ``diffs`` to receive
+    them, and an image-size ``scratch`` buffer, which may be ``f`` itself."""
+    diffs = (Differences(np.shape(f)) if diffs is None else diffs).fill(f, yop, scratch)
+    return _weighted_sum(w, diffs.magnitude(delta_mu, out=scratch))
 
 
 def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator) -> np.ndarray:
     """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU."""
     eps_mu = _eps_mu(eps_hu)
-    return 1.0 / (_magnitude(f, yop)[2] + eps_mu)
+    diffs = Differences(np.shape(f)).fill(f, yop)
+    return _reweight(diffs.magnitude(out=diffs.sq), eps_mu, out=diffs.sq)
+
+
+def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator) -> float:
+    """``tv_value(f, tv_weights(f, eps_hu, yop), yop)``, bit for bit, from one
+    difference pass: the TV value of ``f`` under its own weights."""
+    eps_mu = _eps_mu(eps_hu)
+    magnitude = Differences(np.shape(f)).fill(f, yop).magnitude()
+    return _weighted_sum(_reweight(magnitude, eps_mu), magnitude)
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
-                delta_mu: float) -> np.ndarray:
-    """Exact gradient of the ``delta_mu``-smoothed weighted TV value."""
-    gx, gy, norm = _magnitude(f, yop, delta_mu)
-    tx = w * gx / norm
-    ty = w * gy / norm
-    g = tx.copy()
-    g[:, :-1] -= tx[:, 1:]
-    g += yop.apply_t(ty)
-    return g
+                delta_mu: float, diffs: Differences | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Exact gradient of the ``delta_mu``-smoothed weighted TV value.
+
+    ``diffs``, when given, holds the differences of ``f`` already, and the
+    gradient uses them up: their buffers end up holding its terms.  ``out``
+    receives the gradient."""
+    if diffs is None:
+        diffs = Differences(np.shape(f)).fill(f, yop)
+    norm = diffs.magnitude(delta_mu, out=diffs.sq)
+    tx = np.multiply(w, diffs.dx, out=diffs.dx)
+    tx /= norm
+    ty = np.multiply(w, diffs.dy, out=diffs.dy)
+    ty /= norm
+    if out is None:
+        out = np.empty_like(tx)
+    np.copyto(out, tx)
+    out[:, :-1] -= tx[:, 1:]
+    out += yop.apply_t(ty, out=norm)
+    return out
 
 
-def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
-                  params: LineSearchParams, eps_hu: float,
-                  down: RowOperator | None = None) -> tuple[np.ndarray, list[float]]:
+def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
+                  steps: int, params: LineSearchParams, eps_hu: float,
+                  down: RowOperator | None = None,
+                  start: int = 0) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
-    TV value.  Returns the image and the accepted step sizes.
+    TV value.  Returns the image and the accepted step sizes.  ``w`` None
+    takes the weights from the first iterate, as :func:`tv_weights` does.
 
     The smoothing floor of the gradient-magnitude denominators is the
     reweighting floor ``eps_hu`` of :func:`tv_weights`.  Magnitudes below
@@ -165,68 +239,120 @@ def descent_steps(f: np.ndarray, w: np.ndarray, yop: RowOperator, steps: int,
     smaller floor makes the direction a raw subgradient and stalls the
     descent orders of magnitude below any useful step size.
 
-    Each step's line search starts at the rung the previous step accepted,
-    and returns the step a scan down from ``params.t0`` returns, bit for bit.
-    Without a down-sampler the accepted trial image is the next iterate and
-    its TV value the next search's starting value, so neither is computed
-    twice.
+    The first line search starts at rung ``start``: ``run_reconstruction``
+    passes, per schedule entry, the rung that entry's first search accepted
+    in the previous outer iteration.  Each later search starts at the rung
+    the step before accepted.  Every search returns the step a scan down
+    from ``params.t0`` returns, bit for bit.
+
+    Each image's :class:`Differences` are computed once.  The first
+    iterate's give its weights, its TV value (the first search's starting
+    value) and its gradient.  Without a down-sampler an accepted trial's
+    give the next gradient, and its value starts the next search.  The
+    descent allocates its buffers once per call and never writes ``f``: the
+    iterate, the gradient (which also holds each trial image), the
+    direction, the weights when it computes them, and two sets of
+    differences.  Trials alternate between the two sets; the accepted trial
+    is the last or the second-last one its search evaluated, so its set is
+    intact.  A trial's image is not kept: the accepted one is recomputed as
+    the iterate.
 
     With a down-sampler ``down`` the value, weights and search live on the
     grid of ``down.apply(f)`` and each step is taken along
-    ``down.apply_t(ghat)`` on the grid of ``f``.
+    ``down.apply_t(ghat)`` on the grid of ``f``.  There a trial never becomes
+    an iterate, so one set of differences serves.
     """
     delta_mu = _eps_mu(eps_hu)
-    objective = lambda arr: tv_value(arr, w, yop)
+    f = np.asarray(f, dtype=np.float64)
+    shape = f.shape if down is None else (down.shape[0], f.shape[1])
+    grad, ghat = np.empty(shape), np.empty(shape)
+    pair = ((Differences(shape),) * 2 if down is not None
+            else (Differences(shape), Differences(shape)))
+    if down is not None:
+        sampled, pulled = np.empty(shape), np.empty_like(f)
     accepted: list[float] = []
-    rung, f0 = 0, None
+    rung, owned = start, False
+    diffs, f0 = None, None  # the current iterate's, while still known
+
+    def objective(trial: np.ndarray) -> float:
+        # the n-th trial of a search (from 0; the search is always given
+        # f0) fills pair[n % 2], so Step.index names the accepted set
+        nonlocal tried
+        tried += 1
+        return tv_value(trial, w, yop, diffs=pair[tried % 2], scratch=trial)
+
+    def sample() -> tuple[Differences, float]:
+        """Differences and TV value of the current (sampled) iterate; the
+        weights too, the first time, when the caller gave none."""
+        nonlocal w
+        x = f if down is None else down.apply(f, out=sampled)
+        found = pair[0].fill(x, yop, scratch=grad)
+        magnitude = found.magnitude(out=grad)
+        if w is None:
+            w = _reweight(magnitude, delta_mu)
+        return found, _weighted_sum(w, magnitude)
+
     for _ in range(steps):
-        f_s = f if down is None else down.apply(f)
-        g = tv_gradient(f_s, w, yop, delta_mu)
-        ghat, converged = normalize_direction(g)
-        if converged:
+        if diffs is None:
+            diffs, f0 = sample()
+        x = f if down is None else sampled
+        tv_gradient(x, w, yop, delta_mu, diffs=diffs, out=grad)
+        if normalize_direction(grad, out=ghat)[1]:
             break
-        step = backtracking_line_search(f_s, g, ghat, objective, params, rung, f0)
+        tried = -1  # the search's first trial fills pair[0]
+        step = backtracking_line_search(x, grad, ghat, objective, params, rung, f0,
+                                        trial=grad)
         if step == 0.0:
             break
         t, rung = float(step), step.rung
         accepted.append(t)
         if down is None:
-            f, f0 = step.trial, step.value
-            continue
-        f = f - t * down.apply_t(ghat)
-        if _pullback_log.isEnabledFor(logging.DEBUG):
-            # fine-grid update re-sampled; small excess possible by design
-            realized = objective(down.apply(f))
-            if realized > step.value:
+            update = np.multiply(ghat, t, out=ghat)
+            diffs, f0 = pair[step.index % 2], step.value
+        else:
+            update = down.apply_t(ghat, out=pulled)
+            update *= t
+            diffs = f0 = None
+        f = np.subtract(f, update, out=f if owned else None)
+        owned = True
+        if down is not None and _pullback_log.isEnabledFor(logging.DEBUG):
+            # fine-grid update re-sampled; small excess possible by design.
+            # The re-sampled image is the next iterate, so its differences
+            # and value carry over to the next step.
+            diffs, f0 = sample()
+            if f0 > step.value:
                 _pullback_log.debug(
                     "coarse objective rose after pull-back: %.6g > %.6g",
-                    realized, step.value,
+                    f0, step.value,
                 )
     return f, accepted
 
 
-def normalize_direction(g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Max-abs scaling of the descent direction; flags an all-zero gradient."""
-    peak = float(np.max(np.abs(g)))
+def normalize_direction(g: np.ndarray,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Max-abs scaling of the descent direction, into ``out`` when given;
+    flags an all-zero gradient, whose direction is all zeros."""
+    scaled = np.abs(g, out=out)
+    peak = float(np.max(scaled))
     if peak == 0.0:
-        return np.zeros_like(g), True
-    return g / peak, False
+        return scaled, True
+    return np.divide(g, peak, out=scaled), False
 
 
 class Step(float):
     """Step size ``t`` found by :func:`backtracking_line_search`, 0.0 when no
     step qualifies.  It is a float, so callers that only need ``t`` use it as
-    one; an accepted step also carries where its search ended, for the next
-    search of the same descent to start from: the rung ``k`` with
-    ``t = t0*beta^k``, the trial image ``f - t*ghat`` and its objective
-    value."""
+    one; an accepted step also carries the rung ``k`` with
+    ``t = t0*beta^k``, for the next search of the same descent to start
+    from, the objective value of its trial image ``f - t*ghat``, and the
+    ``index`` of that trial among those the search evaluated, from 0."""
 
-    __slots__ = ("rung", "trial", "value")
+    __slots__ = ("rung", "value", "index")
 
-    def __new__(cls, t: float, rung: int | None = None,
-                trial: np.ndarray | None = None, value: float | None = None):
+    def __new__(cls, t: float, rung: int | None = None, value: float | None = None,
+                index: int | None = None):
         step = super().__new__(cls, t)
-        step.rung, step.trial, step.value = rung, trial, value
+        step.rung, step.value, step.index = rung, value, index
         return step
 
 
@@ -239,10 +365,19 @@ def _rung(params: LineSearchParams, k: int) -> float:
     return t
 
 
+def rung_of(t: float, params: LineSearchParams) -> int:
+    """The k with ``t == t0*beta^k`` for an accepted step size ``t``."""
+    for k in range(params.max_shrinks + 1):
+        if _rung(params, k) == t:
+            return k
+    raise ValueError(f"{t!r} is not a rung of {params}")
+
+
 def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,
                              objective: Callable[[np.ndarray], float],
                              params: LineSearchParams, start: int = 0,
-                             f0: float | None = None) -> Step:
+                             f0: float | None = None,
+                             trial: np.ndarray | None = None) -> Step:
     """Largest step t0*beta^k (k <= max_shrinks) with sufficient decrease of
     ``objective`` along -ghat; 0.0 when no step qualifies.
 
@@ -252,27 +387,40 @@ def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,
     When the objective is convex along the line, as the frozen-weight TV
     value is, the rungs that pass are contiguous, so every ``start`` finds
     the rung a scan down from t0 finds; a start near it only saves
-    evaluations.  ``f0`` is ``objective(f)`` when the caller already has it.
+    evaluations.  If no rung from ``start`` down passes, the search tries
+    the rungs above ``start`` from t0 before it gives up, so a failed search
+    is a failed scan from t0 whatever the objective.  The accepted trial is
+    the last or the second-last one evaluated.
+
+    ``f0`` is ``objective(f)`` when the caller already has it.  Each trial
+    image ``f - t*ghat`` is written into ``trial`` when it is given; that
+    buffer may be ``g``, which is read only before the first trial.
     """
+    if not 0 <= start <= params.max_shrinks:
+        raise ValueError(f"start must be in 0..{params.max_shrinks}, got {start}")
     slope = float(np.vdot(g, ghat))
     if f0 is None:
         f0 = objective(f)
+    tried = 0
 
     def attempt(k: int) -> Step | None:
+        nonlocal tried
         t = _rung(params, k)
-        trial = f - t * ghat
-        value = objective(trial)
+        image = np.multiply(ghat, t, out=trial)
+        value = objective(np.subtract(f, image, out=image))
+        tried += 1
         if not value <= f0 - params.alpha * t * slope:
             return None
-        return Step(t, k, trial, value)
+        return Step(t, k, value, tried - 1)
 
     k = start
     step = attempt(k)
     if step is None:
-        while step is None and k < params.max_shrinks:
-            k += 1
+        for k in (*range(start + 1, params.max_shrinks + 1), *range(start)):
             step = attempt(k)
-        return Step(0.0) if step is None else step
+            if step is not None:
+                return step
+        return Step(0.0)
     while k > 0:
         k -= 1
         larger = attempt(k)

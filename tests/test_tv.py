@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,16 +8,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latomo import tv
-from latomo.core import MU_PER_HU
+from latomo.core import MU_PER_HU, FanBeamGeometry, Sinogram
+from latomo.driver import ReconConfig, run_reconstruction
+from latomo.phantom import builtin_head_phantom, rasterize
+from latomo.projector import Projector
 from latomo.ssatv1 import derivative_kernel, ssatv1_pass
-from latomo.ssatv2 import make_pyramid_level, ssatv2_pass
+from latomo.ssatv2 import down_sampler, make_pyramid_level, ssatv2_pass
 from latomo.tv import (
+    Differences,
     LineSearchParams,
+    _rung,
     backtracking_line_search,
     descent_steps,
     forward_diff_op,
     normalize_direction,
+    reweighted_value,
     row_operator,
+    rung_of,
     tv_gradient,
     tv_value,
     tv_weights,
@@ -368,16 +377,6 @@ def cold_descent(f, w, yop, steps, params, delta_mu, down=None):
     return f, accepted
 
 
-def rung_of(t, params):
-    """k with t == t0*beta^k, the product taken one factor at a time."""
-    k, rung = 0, params.t0
-    while rung != t:
-        assert k < params.max_shrinks, t
-        rung *= params.beta
-        k += 1
-    return k
-
-
 def descent_case(name, n=32):
     """(image, weights, Y operator, down-sampler) of one regularizer's
     frozen-weight descent on a noisy disk above a step."""
@@ -399,8 +398,8 @@ DESCENT_CASES = ["wtv", "ssatv1-s2", "ssatv1-s8", "ssatv2-s2", "ssatv2-s4"]
 
 
 class TestWarmStartedSearch:
-    """Each search of a descent starts at the previous accepted rung and
-    still returns the cold scan's step, bit for bit."""
+    """Each search of a descent starts at a carried rung and still returns
+    the cold scan's step, bit for bit."""
 
     # f = 0 towards 1 along a unit direction: (t - 1)^2 passes the test with
     # alpha 0.3 for t <= 1.4, i.e. from rung 4 (10 * 0.6^4 = 1.296) on
@@ -409,7 +408,7 @@ class TestWarmStartedSearch:
     @staticmethod
     def quadratic(evaluations):
         def objective(arr):
-            evaluations.append(arr)
+            evaluations.append(arr.copy())
             return float((arr[0, 0] - 1.0) ** 2)
         f = np.array([[0.0]])
         g = np.array([[-2.0]])
@@ -417,20 +416,23 @@ class TestWarmStartedSearch:
 
     @pytest.mark.parametrize("start", range(9))
     def test_every_start_finds_the_cold_rung(self, start):
-        f, g, ghat, objective = self.quadratic([])
+        evaluations = []
+        f, g, ghat, objective = self.quadratic(evaluations)
         step = backtracking_line_search(f, g, ghat, objective, self.PARAMS, start)
         assert step == cold_search(f, g, ghat, objective, self.PARAMS)
         assert step.rung == 4
-        npt.assert_array_equal(step.trial, f - float(step) * ghat)
-        assert step.value == objective(step.trial)
+        assert step.value == objective(f - float(step) * ghat)
+        # evaluations[0] is f0; index counts the trials from 0
+        npt.assert_array_equal(evaluations[1 + step.index], f - float(step) * ghat)
 
     def test_growing_four_rungs(self):
         evaluations = []
         f, g, ghat, objective = self.quadratic(evaluations)
         step = backtracking_line_search(f, g, ghat, objective, self.PARAMS, 8)
         assert step.rung == 4
-        # f0, rungs 8..4 passing, rung 3 failing
+        # f0, rungs 8..4 passing, rung 3 failing: the second-last trial
         assert len(evaluations) == 1 + 5 + 1
+        assert step.index == 4
 
     @pytest.mark.parametrize("start", [1, 5])
     def test_grown_rung_has_the_scan_bits(self, start):
@@ -446,21 +448,75 @@ class TestWarmStartedSearch:
         f, g, ghat, objective = self.quadratic(evaluations)
         params = LineSearchParams(alpha=0.3, beta=0.6, t0=10.0, max_shrinks=3)
         step = backtracking_line_search(f, g, ghat, objective, params, start, f0=1.0)
-        # given f0, only rungs start..3 are evaluated
-        assert len(evaluations) == 4 - start
+        # given f0, a failed search tries every rung once, rungs start..3
+        # first and then the rungs above start from t0
+        assert len(evaluations) == 4
+        rungs = [round(np.log(float(e[0, 0]) / 10.0) / np.log(0.6)) for e in evaluations]
+        assert rungs == [*range(start, 4), *range(start)]
         assert step == 0.0 == cold_search(f, g, ghat, objective, params)
+
+    @pytest.mark.parametrize("start", [2, 3])
+    def test_failed_start_rescans_from_t0(self, start):
+        # only rung 1 passes: not convex, so no search from below it can
+        # grow to it; it scans from t0 before giving up, as a cold scan does
+        params = LineSearchParams(alpha=0.3, beta=0.5, t0=1.0, max_shrinks=4)
+        passing = _rung(params, 1)
+        objective = lambda arr: 0.0 if float(-arr[0, 0]) == passing else 1.0
+        f, g = np.array([[0.0]]), np.array([[1.0]])
+        step = backtracking_line_search(f, g, g, objective, params, start, f0=0.5)
+        assert step.rung == 1 and float(step) == passing
+        assert step.index == params.max_shrinks - start + 2
+        assert float(step) == cold_search(f, g, g, lambda arr: (
+            0.5 if arr is f else objective(arr)), params)
+
+    def test_trials_written_into_the_given_buffer(self):
+        # the buffer may be g itself: g is read only before the first trial
+        f, g, ghat, objective = self.quadratic([])
+        buffer, seen = g.copy(), []
+
+        def tracked(arr):
+            seen.append(arr is buffer)
+            return objective(arr)
+
+        step = backtracking_line_search(f, buffer, ghat, tracked, self.PARAMS, 6,
+                                        f0=1.0, trial=buffer)
+        assert step.rung == 4
+        assert seen and all(seen)
+
+    @pytest.mark.parametrize("start", [-1, 31])
+    def test_start_outside_the_rungs_rejected(self, start):
+        f, g, ghat, objective = self.quadratic([])
+        with pytest.raises(ValueError, match="start must be in 0..30"):
+            backtracking_line_search(f, g, ghat, objective, self.PARAMS, start)
+
+    def test_rung_of(self):
+        params = LineSearchParams()
+        for k in (0, 1, 17, params.max_shrinks):
+            assert rung_of(_rung(params, k), params) == k
+        with pytest.raises(ValueError, match="not a rung"):
+            rung_of(params.t0 * 0.5, params)
 
     @pytest.mark.parametrize("case", DESCENT_CASES)
     @pytest.mark.parametrize("max_shrinks", [30, 1])
     def test_descent_matches_cold_scan(self, case, max_shrinks):
         f, w, yop, down = descent_case(case)
         params = LineSearchParams(max_shrinks=max_shrinks)
-        got, got_steps = descent_steps(f, w, yop, 20, params, 5.0, down)
         want, want_steps = cold_descent(f, w, yop, 20, params, DELTA_MU, down)
-        assert got_steps == want_steps
-        npt.assert_array_equal(got, want)
         # with one shrink allowed, every case ends on a failed search
         assert (len(want_steps) < 20) == (max_shrinks == 1)
+        for start in range(max_shrinks + 1):  # every rung a pass may carry
+            got, got_steps = descent_steps(f, w, yop, 20, params, 5.0, down, start)
+            assert got_steps == want_steps, start
+            npt.assert_array_equal(got, want, err_msg=f"start {start}")
+
+    @pytest.mark.parametrize("case", ["wtv", "ssatv1-s8"])
+    def test_weights_taken_from_the_first_iterate(self, case):
+        f, w, yop, down = descent_case(case)
+        params = LineSearchParams()
+        got = descent_steps(f, None, yop, 20, params, 5.0, down, 3)
+        want = cold_descent(f, w, yop, 20, params, DELTA_MU, down)
+        assert got[1] == want[1]
+        npt.assert_array_equal(got[0], want[0])
 
     def test_a_descent_step_grows_two_rungs(self):
         f, w, yop, down = descent_case("ssatv2-s4")
@@ -471,9 +527,11 @@ class TestWarmStartedSearch:
 
     @pytest.mark.parametrize("case", DESCENT_CASES)
     def test_evaluations_per_search(self, case, monkeypatch):
-        """A search costs one TV value per rung it tries, plus f0 when the
-        iterate is not the previous accepted trial: a repeated rung costs 2
-        values without a down-sampler and 3 with one."""
+        """A search costs one TV value per rung it tries, and nothing more:
+        every starting value is shared, with the weights and the gradient of
+        the first iterate, with the accepted trial or with the gradient of
+        the re-sampled iterate.  The first search starts at the carried
+        rung, each later one at the rung the step before accepted."""
         per_search = []
         real_value, real_search = tv.tv_value, tv.backtracking_line_search
 
@@ -489,16 +547,207 @@ class TestWarmStartedSearch:
         monkeypatch.setattr(tv, "backtracking_line_search", search)
         f, w, yop, down = descent_case(case)
         params = LineSearchParams()
-        _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down)
-        assert len(per_search) == len(accepted) == 20
-        start, repeated = 0, []
-        for i, (t, evaluations) in enumerate(zip(accepted, per_search)):
-            k = rung_of(t, params)
-            tried = k - start + 1 if k > start else start - k + 1 + (k > 0)
-            assert evaluations == (i == 0 or down is not None) + tried
-            if i and k == start > 0:
-                repeated.append(evaluations)
-            start = k
-        assert repeated and set(repeated) == {2 if down is None else 3}
-        cold = sum(2 + rung_of(t, params) for t in accepted)
-        assert sum(per_search) < cold
+        for carried in (0, 3, 9):
+            per_search.clear()
+            _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down, carried)
+            assert len(per_search) == len(accepted) == 20
+            start = carried
+            for t, evaluations in zip(accepted, per_search):
+                k = rung_of(t, params)
+                tried = k - start + 1 if k > start else start - k + 1 + (k > 0)
+                assert evaluations == tried, (carried, per_search)
+                start = k
+            cold = sum(2 + rung_of(t, params) for t in accepted)
+            assert sum(per_search) < cold
+
+    def test_descent_leaves_its_input_alone(self):
+        for case in DESCENT_CASES:
+            f, w, yop, down = descent_case(case)
+            kept = f.copy()
+            out, accepted = descent_steps(f, w, yop, 5, LineSearchParams(), 5.0, down)
+            assert accepted and not np.shares_memory(out, f)
+            npt.assert_array_equal(f, kept)
+
+
+class TestSharedDifferences:
+    """The buffered forms give the bits of the allocating ones."""
+
+    @pytest.mark.parametrize("width", [1, 2, 17])
+    @pytest.mark.parametrize("operator", ["diff", "ssatv1-s4", "down-s4"])
+    def test_product_into_a_buffer(self, operator, width):
+        rng = np.random.default_rng(32)
+        f = rng.normal(size=(19, width))
+        f[3, 0] = -0.0
+        if operator == "diff":
+            op = forward_diff_op(19)
+        elif operator == "ssatv1-s4":
+            op = row_operator(*derivative_kernel(4), 19)
+        else:
+            op = down_sampler(19, 4)
+        out = np.full((op.shape[0], width), np.nan)
+        assert op.apply(f, out=out) is out
+        npt.assert_array_equal(out, op.apply(f))
+        assert np.array_equal(np.signbit(out), np.signbit(op.apply(f)))
+        back = np.full((op.shape[1], width), np.nan)
+        npt.assert_array_equal(op.apply_t(out, out=back), op.apply_t(out))
+
+    def test_product_rejects_a_wrong_buffer(self):
+        op = forward_diff_op(8)
+        f = np.ones((8, 5))
+        for out in (np.empty((8, 4)), np.empty((8, 5), dtype=np.float32),
+                    np.empty((5, 8)).T):
+            with pytest.raises(ValueError, match="out must be"):
+                op.apply(f, out=out)
+
+    @pytest.mark.parametrize("delta_mu", [0.0, DELTA_MU])
+    def test_value_and_gradient_from_shared_differences(self, delta_mu):
+        f, w, yop, _ = descent_case("ssatv1-s8")
+        diffs = Differences(f.shape)
+        trial = f.copy()
+        assert (tv_value(trial, w, yop, delta_mu, diffs=diffs, scratch=trial)
+                == tv_value(f, w, yop, delta_mu))
+        out = np.empty_like(f)
+        got = tv_gradient(f, w, yop, delta_mu, diffs=diffs, out=out)
+        assert got is out
+        npt.assert_array_equal(got, tv_gradient(f, w, yop, delta_mu))
+
+    def test_reweighted_value(self):
+        for case in ("wtv", "ssatv1-s2"):
+            f, _, yop, _ = descent_case(case)
+            for eps_hu in (5.0, 20.0):
+                assert (reweighted_value(f, eps_hu, yop)
+                        == tv_value(f, tv_weights(f, eps_hu, yop), yop))
+        with pytest.raises(ValueError, match="eps_hu"):
+            reweighted_value(f, 0.0, yop)
+
+    def test_normalize_into_a_buffer(self):
+        g = np.random.default_rng(33).normal(size=(6, 7))
+        out = np.empty_like(g)
+        got, converged = normalize_direction(g, out=out)
+        assert got is out and not converged
+        npt.assert_array_equal(got, g / np.max(np.abs(g)))
+        zero = np.array([[0.0, -0.0]])
+        got, converged = normalize_direction(zero, out=np.empty_like(zero))
+        assert converged and not np.signbit(got).any()
+
+
+# -- the buffer budget -----------------------------------------------------
+
+def _peak_in_images(call, f):
+    call()  # row operators are cached once per process; measure a warm call
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / f.nbytes
+
+
+# Peaks in image-size arrays at 256^2.  An ssatv1 pass owns 10 (the iterate,
+# gradient, direction, weights and two sets of three differences) and an
+# ssatv2 pass at s = 4 owns 2 fine plus 6 quarter-size ones; the budgets
+# leave room for numpy's small internal buffers, not for another image.
+@pytest.mark.parametrize("scale", [1, 16])
+def test_ssatv1_pass_buffer_budget(scale):
+    f, *_ = descent_case("wtv", 256)
+    kept = f.copy()
+    peak = _peak_in_images(lambda: ssatv1_pass(f, 5.0, scale, 10, LineSearchParams()), f)
+    assert peak <= 11.4
+    npt.assert_array_equal(f, kept)
+
+
+def test_ssatv2_pass_buffer_budget():
+    f, *_ = descent_case("wtv", 256)
+    kept = f.copy()
+    level = make_pyramid_level(f, 4, 5.0)
+    peak = _peak_in_images(lambda: ssatv2_pass(f, level, 5.0, 10, LineSearchParams()), f)
+    assert peak <= 4.3
+    npt.assert_array_equal(f, kept)
+
+
+# -- whole runs against the cold reference --------------------------------
+
+RUN_GEOMETRY = FanBeamGeometry(400.0, 200.0, 96, 1.6, 10.0, 170.0, 4.0)
+
+
+@pytest.fixture(scope="module")
+def run_scene():
+    truth = rasterize(builtin_head_phantom(), 64, 64, 2.0)
+    projector = Projector(RUN_GEOMETRY, 64, 64, 2.0)
+    sino = Sinogram(RUN_GEOMETRY.num_views, RUN_GEOMETRY.detector_channels,
+                    RUN_GEOMETRY.view_angles_deg(), projector.forward(truth.data))
+    return projector, sino
+
+
+def reference_run(config, sino, projector):
+    """``run_reconstruction``'s loop, written with :func:`cold_descent`: every
+    search a scan from t0, every weight, starting value and logged objective
+    computed afresh."""
+    f = np.zeros((config.height, config.width))
+    yop1 = forward_diff_op(config.height)
+    entries = ([(1, config.tv_steps)] if config.algorithm == "wtv"
+               else config.schedule().entries)
+    objectives = []
+    for _ in range(config.iterations):
+        for view in range(RUN_GEOMETRY.num_views):
+            f = projector.sart_update_view(f, sino.data[view], view, config.relaxation)
+        f = np.maximum(f, 0.0)
+        for scale, steps in entries:
+            if config.algorithm == "ssatv2":
+                level = make_pyramid_level(f, scale, config.eps_hu)
+                w, down = level.weights, level.sampler if scale > 1 else None
+                yop = forward_diff_op(level.sampler.shape[0])
+            else:
+                yop, down = row_operator(*derivative_kernel(scale), f.shape[0]), None
+                w = tv_weights(f, config.eps_hu, yop)
+            f, _ = cold_descent(f, w, yop, steps, config.line_search, DELTA_MU, down)
+        f = np.maximum(f, 0.0)
+        objectives.append(tv_value(f, tv_weights(f, config.eps_hu, yop1), yop1))
+    return f, objectives
+
+
+@pytest.mark.parametrize("algorithm, levels", [("wtv", 1), ("ssatv1", 3), ("ssatv2", 3)])
+def test_run_matches_the_cold_reference(run_scene, algorithm, levels):
+    projector, sino = run_scene
+    config = ReconConfig(algorithm, RUN_GEOMETRY, 64, 64, 2.0, levels=levels,
+                         iterations=6)
+    image, log = run_reconstruction(config, sino, projector=projector)
+    want, objectives = reference_run(config, sino, projector)
+    npt.assert_array_equal(image.data, want)
+    assert [row.objective for row in log.rows] == objectives
+
+
+@pytest.mark.parametrize("algorithm, levels", [("wtv", 1), ("ssatv1", 3), ("ssatv2", 3)])
+def test_run_carries_each_entry_first_rung(run_scene, algorithm, levels, monkeypatch):
+    """The first search of each pass starts at the rung the same schedule
+    entry's first search accepted one outer iteration before, and a new run
+    starts again at rung 0."""
+    projector, sino = run_scene
+    searches, real_search = [], tv.backtracking_line_search
+
+    def search(*args, **kwargs):
+        step = real_search(*args, **kwargs)
+        searches.append((args[5], step.rung))
+        return step
+
+    monkeypatch.setattr(tv, "backtracking_line_search", search)
+    # a t0 ten times the default puts the first rungs at 3..6 on this scene
+    config = ReconConfig(algorithm, RUN_GEOMETRY, 64, 64, 2.0, levels=levels,
+                         iterations=4, line_search=LineSearchParams(t0=4e-3))
+    entries = 1 if algorithm == "wtv" else levels
+    for _ in range(2):
+        searches.clear()
+        _, log = run_reconstruction(config, sino, projector=projector)
+        sizes = [row.step_sizes for row in log.rows]
+        assert all(len(s) == config.tv_steps for s in sizes)
+        budgets = ([config.tv_steps] if algorithm == "wtv"
+                   else [m for _, m in config.schedule().entries])
+        firsts = np.cumsum([0] + budgets[:-1])
+        for n in range(config.iterations):
+            done = n * config.tv_steps
+            for entry in range(entries):
+                start, _ = searches[done + firsts[entry]]
+                want = 0 if n == 0 else searches[done - config.tv_steps + firsts[entry]][1]
+                assert start == want
+        assert all(start > 0 for start, _ in searches[config.tv_steps::config.tv_steps])
