@@ -1,76 +1,61 @@
 #!/usr/bin/env python3
-"""Convergence comparison across regularizers on the built-in head phantom.
+"""Convergence comparison across regularizers on one configured scene.
 
-Runs the limited-angle experiment (desk scale by default) for wTV and both
-scale-space anisotropic variants at several pyramid depths, writes one
-convergence CSV per run plus a merged table, and prints the headline
-ordering of the final ROI errors.
+Builds the scene as ``latomo run`` does, from its built-in defaults at desk
+scale with noise seed 42 and output in out/comparison, then any ``--set``
+overrides.  Runs wTV and both scale-space anisotropic variants at each of
+``--levels`` on the one traced projector, writes one convergence CSV per
+run plus a merged table, and prints the headline ordering of the final ROI
+errors.  Every run's config is checked before the first reconstruction.
 """
 
 import argparse
+import sys
 import time
-from pathlib import Path
 
-import numpy as np
-
-from latomo import (
-    FanBeamGeometry,
-    NoiseSpec,
-    Projector,
-    ReconConfig,
-    Sinogram,
-    add_poisson_noise,
-    builtin_head_phantom,
-    rasterize,
-    roi_rect_for_grid,
-    run_reconstruction,
+from latomo.cli import (
+    DESK_SETS,
+    ConfigError,
+    build_experiment,
+    compare_runs,
+    load_config,
+    prepare_scene,
 )
-from latomo.cli import compare_runs
+from latomo.driver import run_reconstruction
+
+DEFAULT_SETS = DESK_SETS + ["noise.seed=42", "output.dir=out/comparison"]
 
 
-def desk_setup(size: int = 256, pixel_size: float = 1.0, channels: int = 384,
-               channel_size: float = 1.0):
-    geom = FanBeamGeometry(1088.0, 544.0, channels, channel_size, 10.0, 170.0, 1.0)
-    spec = builtin_head_phantom()
-    truth = rasterize(spec, size, size, pixel_size)
-    roi = roi_rect_for_grid(spec.roi_mm, size, size, pixel_size)
-    projector = Projector(geom, size, size, pixel_size)
-    clean = Sinogram(geom.num_views, geom.detector_channels,
-                     geom.view_angles_deg(), projector.forward(truth.data))
-    return geom, truth, roi, projector, clean
-
-
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--size", type=int, default=256)
-    ap.add_argument("--pixel-size", type=float, default=1.0)
-    ap.add_argument("--iterations", type=int, default=200)
+    ap.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                    help="override a config value, as `latomo run --set` does")
     ap.add_argument("--levels", type=int, nargs="+", default=[2, 3, 4, 5])
-    ap.add_argument("--photons", type=float, default=None,
-                    help="add Poisson noise with this photon count")
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--out", default="out/comparison")
-    args = ap.parse_args()
-
-    geom, truth, roi, projector, sino = desk_setup(args.size, args.pixel_size)
-    if args.photons:
-        sino = add_poisson_noise(sino, NoiseSpec(args.photons, args.seed))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args = ap.parse_args(argv)
 
     runs = [("wtv", 1)]
     runs += [("ssatv1", lv) for lv in args.levels]
     runs += [("ssatv2", lv) for lv in args.levels]
+    try:
+        configs = [build_experiment(load_config(sets=DEFAULT_SETS + args.set + [
+            f"recon.algorithm={algorithm}", f"recon.levels={levels}"]))
+            for algorithm, levels in runs]
+        if configs[0].roi is None:
+            raise ConfigError("roi.region: the comparison ranks runs by ROI RMSE")
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+    truth, projector, _, measured = prepare_scene(configs[0])
+    out = configs[0].output_dir
+    out.mkdir(parents=True, exist_ok=True)
     csv_paths = []
     finals = {}
-    for algorithm, levels in runs:
+    for cfg in configs:
+        algorithm, levels = cfg.recon.algorithm, cfg.recon.levels
         name = algorithm if algorithm == "wtv" else f"{algorithm}_l{levels}"
-        cfg = ReconConfig(algorithm=algorithm, geometry=geom, width=args.size,
-                          height=args.size, pixel_size=args.pixel_size,
-                          levels=levels, iterations=args.iterations)
         started = time.time()
-        _, log = run_reconstruction(cfg, sino, reference=truth, roi=roi,
+        _, log = run_reconstruction(cfg.recon, measured, reference=truth, roi=cfg.roi,
                                     projector=projector)
         series = log.roi_rmse_series()
         finals[name] = series
@@ -84,11 +69,12 @@ def main():
     compare_runs(csv_paths, out / "compare.csv")
     print(f"\nmerged table: {out / 'compare.csv'}")
 
+    at_100 = min(99, configs[0].recon.iterations - 1)
     wtv_final = finals["wtv"][-1]
-    wtv_100 = finals["wtv"][min(99, args.iterations - 1)]
+    wtv_100 = finals["wtv"][at_100]
     print(f"\nwTV final {wtv_final:.3f} HU; checks:")
     for lv in args.levels:
-        s1 = finals[f"ssatv1_l{lv}"][min(99, args.iterations - 1)]
+        s1 = finals[f"ssatv1_l{lv}"][at_100]
         print(f"  ssatv1 l={lv} at iter 100: {s1:7.3f} vs wTV {wtv_100:7.3f}  "
               f"{'faster' if s1 <= wtv_100 else 'SLOWER'}")
     last = None
@@ -100,7 +86,8 @@ def main():
     if f"ssatv2_l3" in finals:
         margin = 1.0 - finals["ssatv2_l3"][-1] / wtv_final
         print(f"  ssatv2 l=3 improves on wTV by {100 * margin:.1f}%")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,6 +25,7 @@ from pathlib import Path
 from .core import (
     MU_PER_HU,
     FanBeamGeometry,
+    ImageGrid,
     ParameterError,
     RoiRect,
     Sinogram,
@@ -155,26 +156,30 @@ def _parse(text: str, source: str) -> configparser.ConfigParser:
     return cp
 
 
-def _load_ini(config_path, sets=()) -> configparser.ConfigParser:
+def load_config(config_path=None, sets=()) -> configparser.ConfigParser:
+    """The built-in defaults, overlaid with the INI file at ``config_path``
+    when one is given, then with ``sets`` (``section.key=value`` strings) in
+    order.  Unknown sections and keys are rejected."""
     cp = _parse(DEFAULT_CONFIG, "<defaults>")
-    path = Path(config_path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    try:
-        user = _parse(text, str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if user.defaults():
-        raise ConfigError(f"{path}: unknown section [{user.default_section}]")
-    for section in user.sections():
-        for key, value in user.items(section, raw=True):
-            if not cp.has_option(section, key):
-                raise ConfigError(f"{section}.{key}: unknown key in {path}")
-            cp.set(section, key, value)
-        if not cp.has_section(section):  # an empty section of its own
-            raise ConfigError(f"{path}: unknown section [{section}]")
+    if config_path is not None:
+        path = Path(config_path)
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        try:
+            user = _parse(text, str(path))
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        if user.defaults():
+            raise ConfigError(f"{path}: unknown section [{user.default_section}]")
+        for section in user.sections():
+            for key, value in user.items(section, raw=True):
+                if not cp.has_option(section, key):
+                    raise ConfigError(f"{section}.{key}: unknown key in {path}")
+                cp.set(section, key, value)
+            if not cp.has_section(section):  # an empty section of its own
+                raise ConfigError(f"{path}: unknown section [{section}]")
     for assignment in sets:
         if "=" not in assignment:
             raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
@@ -338,35 +343,42 @@ def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
     )
 
 
+def prepare_scene(cfg: ExperimentConfig) -> tuple[ImageGrid, Projector, Sinogram, Sinogram]:
+    """The configured scene: ``(truth, projector, clean, measured)``.  The
+    phantom is rasterized on the recon grid, the projector traced for its
+    geometry, and ``measured`` is the clean sinogram with the configured
+    noise, or the clean sinogram itself when the config sets none."""
+    recon, geom = cfg.recon, cfg.recon.geometry
+    log.info("rasterizing phantom (%dx%d at %g mm)", recon.width, recon.height,
+             recon.pixel_size)
+    truth = rasterize(cfg.phantom, recon.width, recon.height, recon.pixel_size)
+    projector = Projector(geom, recon.width, recon.height, recon.pixel_size)
+    log.info("simulating %d views x %d channels", geom.num_views, geom.detector_channels)
+    clean = Sinogram(geom.num_views, geom.detector_channels,
+                     geom.view_angles_deg(), projector.forward(truth.data))
+    mirrored, reflected = projector.mirrored_views, projector.reflected_views
+    log.info("projector: %d views traced, %d mirrored, %d reflected, %.1f MB",
+             geom.num_views - mirrored - reflected, mirrored, reflected,
+             projector.nbytes / 2**20)
+    measured = clean if cfg.noise is None else add_poisson_noise(clean, cfg.noise)
+    return truth, projector, clean, measured
+
+
 def run_experiment(config_path, sets=()) -> Path:
     """Execute one configured reconstruction; returns the output directory."""
-    cfg = build_experiment(_load_ini(config_path, sets))
+    cfg = build_experiment(load_config(config_path, sets))
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config_echo.ini", "w") as fh:
         cfg.resolved.write(fh)
 
+    truth, projector, clean, measured = prepare_scene(cfg)
     recon, geom = cfg.recon, cfg.recon.geometry
-    log.info("rasterizing phantom (%dx%d at %g mm)", recon.width, recon.height,
-             recon.pixel_size)
-    truth = rasterize(cfg.phantom, recon.width, recon.height, recon.pixel_size)
     write_raw_image(out / "ground_truth.raw", truth)
     write_pgm16(out / "ground_truth.pgm", truth, cfg.window)
-
-    projector = Projector(geom, recon.width, recon.height, recon.pixel_size)
-    log.info("simulating %d views x %d channels", geom.num_views, geom.detector_channels)
-    clean = Sinogram(geom.num_views, geom.detector_channels,
-                     geom.view_angles_deg(), projector.forward(truth.data))
     write_raw_sinogram(out / "sinogram_clean.raw", clean, geom.channel_size)
-    mirrored, reflected = projector.mirrored_views, projector.reflected_views
-    log.info("projector: %d views traced, %d mirrored, %d reflected, %.1f MB",
-             geom.num_views - mirrored - reflected, mirrored, reflected,
-             projector.nbytes / 2**20)
-    measured = clean
     if cfg.noise is not None:
-        measured = add_poisson_noise(clean, cfg.noise)
-        write_raw_sinogram(out / "sinogram_noisy.raw", measured,
-                           geom.channel_size)
+        write_raw_sinogram(out / "sinogram_noisy.raw", measured, geom.channel_size)
 
     algorithm = recon.algorithm
     log.info("reconstructing with %s (%d iterations)", algorithm, recon.iterations)

@@ -35,7 +35,6 @@ from .tv import (
     descent_steps,
     forward_diff_op,
     reweighted_value,
-    rung_of,
 )
 
 ALGORITHMS = ("sart", "wtv", "ssatv1", "ssatv2")
@@ -214,26 +213,24 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig,
     """One regularization phase.  ``rungs`` maps each schedule entry to the
     rung its first line search accepted in the previous phase of the run;
     each entry's first search starts there, and the map is updated."""
-    params = config.line_search
     if config.algorithm == "sart":
         return f, ()
-    if config.algorithm == "wtv":
-        yop = forward_diff_op(f.shape[0])
-        f, sizes = descent_steps(f, None, yop, config.tv_steps, params, config.eps_hu,
-                                 start=rungs.get(0, 0))
-        if sizes:
-            rungs[0] = rung_of(sizes[0], params)
-        return f, tuple(sizes)
+    params = config.line_search
+    entries = (((1, config.tv_steps),) if config.algorithm == "wtv"
+               else config.schedule().entries)
     sizes_all: list[float] = []
-    for entry, (scale, steps) in enumerate(config.schedule().entries):
+    for entry, (scale, steps) in enumerate(entries):
         start = rungs.get(entry, 0)
-        if config.algorithm == "ssatv1":
+        if config.algorithm == "wtv":
+            f, sizes = descent_steps(f, None, forward_diff_op(f.shape[0]), steps, params,
+                                     config.eps_hu, start=start)
+        elif config.algorithm == "ssatv1":
             f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params, start=start)
         else:  # ssatv2: a fresh level per scale, weights seeded from the current image
             level = make_pyramid_level(f, scale, config.eps_hu)
             f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params, start=start)
         if sizes:
-            rungs[entry] = rung_of(sizes[0], params)
+            rungs[entry] = sizes[0].rung
         sizes_all.extend(sizes)
     return f, tuple(sizes_all)
 

@@ -229,8 +229,9 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
                   start: int = 0) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
-    TV value.  Returns the image and the accepted step sizes.  ``w`` None
-    takes the weights from the first iterate, as :func:`tv_weights` does.
+    TV value.  Returns the image and the accepted :class:`Step` sizes, each
+    carrying its rung.  ``w`` None takes the weights from the first iterate,
+    as :func:`tv_weights` does.
 
     The smoothing floor of the gradient-magnitude denominators is the
     reweighting floor ``eps_hu`` of :func:`tv_weights`.  Magnitudes below
@@ -305,7 +306,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
         if step == 0.0:
             break
         t, rung = float(step), step.rung
-        accepted.append(t)
+        accepted.append(step)
         if down is None:
             update = np.multiply(ghat, t, out=ghat)
             diffs, f0 = pair[step.index % 2], step.value
@@ -363,14 +364,6 @@ def _rung(params: LineSearchParams, k: int) -> float:
     for _ in range(k):
         t *= params.beta
     return t
-
-
-def rung_of(t: float, params: LineSearchParams) -> int:
-    """The k with ``t == t0*beta^k`` for an accepted step size ``t``."""
-    for k in range(params.max_shrinks + 1):
-        if _rung(params, k) == t:
-            return k
-    raise ValueError(f"{t!r} is not a rung of {params}")
 
 
 def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,

@@ -18,8 +18,8 @@ from latomo.cli import (
     build_experiment,
     compare_runs,
     main,
+    load_config,
     run_experiment,
-    _load_ini,
 )
 from latomo.core import read_raw
 from latomo.phantom import builtin_head_phantom, roi_rect_for_grid
@@ -54,7 +54,7 @@ class TestConfigParsing:
     def test_defaults_describe_full_experiment(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
-        cfg = build_experiment(_load_ini(path))
+        cfg = build_experiment(load_config(path))
         assert cfg.recon.width == 512 and cfg.recon.pixel_size == 0.5
         assert cfg.recon.geometry.num_views == 161
         assert cfg.recon.iterations == 500
@@ -64,7 +64,7 @@ class TestConfigParsing:
     def test_desk_preset(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
-        cfg = build_experiment(_load_ini(path, DESK_SETS))
+        cfg = build_experiment(load_config(path, DESK_SETS))
         assert cfg.recon.width == 256 and cfg.recon.pixel_size == 1.0
         assert cfg.recon.geometry.detector_channels == 384
         assert cfg.recon.iterations == 200
@@ -73,7 +73,7 @@ class TestConfigParsing:
     def test_set_overrides(self, tmp_path):
         path = write_config(tmp_path)
         cfg = build_experiment(
-            _load_ini(path, sets=["recon.algorithm=ssatv2", "recon.levels=3"])
+            load_config(path, sets=["recon.algorithm=ssatv2", "recon.levels=3"])
         )
         assert cfg.recon.algorithm == "ssatv2"
         assert cfg.recon.levels == 3
@@ -81,7 +81,7 @@ class TestConfigParsing:
     def test_set_rejects_unknown_key(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="unknown key"):
-            _load_ini(path, sets=["recon.turbo=1"])
+            load_config(path, sets=["recon.turbo=1"])
 
     @pytest.mark.parametrize("typo, message", [
         ("[recon]\niteration = 1", r"^recon\.iteration: unknown key"),
@@ -95,7 +95,7 @@ class TestConfigParsing:
         # once resolved silently to the defaults: wtv, 500 iterations, 512^2
         path = write_config(tmp_path, TINY.replace("[recon]", typo, 1))
         with pytest.raises(ConfigError, match=message):
-            _load_ini(path)
+            load_config(path)
         assert main(["run", str(path)]) == 1
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -105,7 +105,7 @@ class TestConfigParsing:
         monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, TINY + "\n[phantom]\nspec = 100%.phantom\n")
         with pytest.raises(ConfigError, match=r"^phantom\.spec: cannot read 100%\.phantom"):
-            build_experiment(_load_ini(path))
+            build_experiment(load_config(path))
         assert main(["run", str(path)]) == 1
         assert "error: phantom.spec: cannot read 100%.phantom" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -118,12 +118,12 @@ class TestConfigParsing:
         assert main(argv) == 0
         echo = out / "config_echo.ini"
         assert f"dir = {out}\n" in echo.read_text()
-        assert _load_ini(echo).get("output", "dir") == str(out)
+        assert load_config(echo).get("output", "dir") == str(out)
 
     def test_budget_sum_error_names_field(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="budgets"):
-            build_experiment(_load_ini(path, sets=[
+            build_experiment(load_config(path, sets=[
                 "recon.algorithm=ssatv1", "recon.levels=3",
                 "recon.budgets=3 3 3",  # sums to 9, steps is 10
             ]))
@@ -136,36 +136,36 @@ class TestConfigParsing:
             (["recon.max_shrinks=-1"], "max_shrinks"),
         ):
             with pytest.raises(ConfigError, match=field):
-                build_experiment(_load_ini(path, sets=sets))
+                build_experiment(load_config(path, sets=sets))
 
     def test_non_numeric_value_names_field(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(ConfigError, match="grid.width"):
-            build_experiment(_load_ini(path, sets=["grid.width=wide"]))
+            build_experiment(load_config(path, sets=["grid.width=wide"]))
         with pytest.raises(ConfigError, match="recon.iterations"):
-            build_experiment(_load_ini(path, sets=["recon.iterations=2.7"]))
+            build_experiment(load_config(path, sets=["recon.iterations=2.7"]))
         with pytest.raises(ConfigError, match="noise.seed"):  # even without noise
-            build_experiment(_load_ini(path, sets=["noise.seed=abc"]))
-        assert build_experiment(_load_ini(path, sets=["recon.iterations=2e1"])
+            build_experiment(load_config(path, sets=["noise.seed=abc"]))
+        assert build_experiment(load_config(path, sets=["recon.iterations=2e1"])
                                 ).recon.iterations == 20
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
-            _load_ini(tmp_path / "nope.ini")
+            load_config(tmp_path / "nope.ini")
 
     def test_roi_modes(self, tmp_path):
         path = write_config(tmp_path)
-        assert build_experiment(_load_ini(path)).roi == roi_rect_for_grid(
+        assert build_experiment(load_config(path)).roi == roi_rect_for_grid(
             builtin_head_phantom().roi_mm, 48, 48, 4.0)
-        cfg = build_experiment(_load_ini(path, sets=["roi.region=none"]))
+        cfg = build_experiment(load_config(path, sets=["roi.region=none"]))
         assert cfg.roi is None
-        cfg = build_experiment(_load_ini(path, sets=["roi.region=-10 -50 10 -30"]))
+        cfg = build_experiment(load_config(path, sets=["roi.region=-10 -50 10 -30"]))
         assert cfg.roi == roi_rect_for_grid((-10.0, -50.0, 10.0, -30.0), 48, 48, 4.0)
 
     def test_desk_sets_yield_to_user_sets(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[output]\ndir = x\n")
-        cfg = build_experiment(_load_ini(path, DESK_SETS + ["grid.width=128"]))
+        cfg = build_experiment(load_config(path, DESK_SETS + ["grid.width=128"]))
         assert cfg.recon.width == 128 and cfg.recon.height == 256
 
 
@@ -192,7 +192,7 @@ BAD_VALUES = [
 def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
     path = write_config(tmp_path)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
-        build_experiment(_load_ini(path, [assignment]))
+        build_experiment(load_config(path, [assignment]))
     assert main(["run", str(path), "--set", assignment]) == 1
     assert f"error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -227,7 +227,7 @@ NAMED_ERRORS = [
 def test_error_names_the_ini_key(tmp_path, capsys, sets, key):
     path = write_config(tmp_path)
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}:"):
-        build_experiment(_load_ini(path, sets))
+        build_experiment(load_config(path, sets))
     assert main(["run", str(path)] + [arg for s in sets for arg in ("--set", s)]) == 1
     assert f"error: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -237,7 +237,7 @@ def test_negative_noise_seed_rejected_before_any_write(tmp_path, capsys):
     path = write_config(tmp_path)
     sets = ["noise.photons=1e5", "noise.seed=-1"]
     with pytest.raises(ConfigError, match=r"^noise\.seed:"):
-        build_experiment(_load_ini(path, sets))
+        build_experiment(load_config(path, sets))
     assert main(["run", str(path), "--set", sets[0], "--set", sets[1]]) == 1
     assert "error: noise.seed:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -251,7 +251,7 @@ def test_non_finite_phantom_spec_rejected_before_any_write(tmp_path, capsys):
     path = write_config(tmp_path)
     assignment = f"phantom.spec={spec}"
     with pytest.raises(ConfigError, match=rf"^phantom\.spec: .*bad\.phantom:2:"):
-        build_experiment(_load_ini(path, [assignment]))
+        build_experiment(load_config(path, [assignment]))
     assert main(["run", str(path), "--set", assignment]) == 1
     assert "value_hu must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -288,7 +288,7 @@ def test_every_override_is_valid_or_names_its_section(tmp_path_factory, key, val
         path.write_text("[output]\ndir = out\n")
     sets = ["roi.region=none", f"{key}={value}"]
     try:
-        cfg = build_experiment(_load_ini(path, sets))
+        cfg = build_experiment(load_config(path, sets))
     except ConfigError as exc:
         assert str(exc).startswith(key.split(".")[0]), (key, value, str(exc))
         return

@@ -24,7 +24,6 @@ from latomo.tv import (
     normalize_direction,
     reweighted_value,
     row_operator,
-    rung_of,
     tv_gradient,
     tv_value,
     tv_weights,
@@ -489,13 +488,6 @@ class TestWarmStartedSearch:
         with pytest.raises(ValueError, match="start must be in 0..30"):
             backtracking_line_search(f, g, ghat, objective, self.PARAMS, start)
 
-    def test_rung_of(self):
-        params = LineSearchParams()
-        for k in (0, 1, 17, params.max_shrinks):
-            assert rung_of(_rung(params, k), params) == k
-        with pytest.raises(ValueError, match="not a rung"):
-            rung_of(params.t0 * 0.5, params)
-
     @pytest.mark.parametrize("case", DESCENT_CASES)
     @pytest.mark.parametrize("max_shrinks", [30, 1])
     def test_descent_matches_cold_scan(self, case, max_shrinks):
@@ -522,7 +514,7 @@ class TestWarmStartedSearch:
         f, w, yop, down = descent_case("ssatv2-s4")
         params = LineSearchParams()
         _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down)
-        rungs = [rung_of(t, params) for t in accepted]
+        rungs = [t.rung for t in accepted]
         assert any(a - b >= 2 for a, b in zip(rungs, rungs[1:])), rungs
 
     @pytest.mark.parametrize("case", DESCENT_CASES)
@@ -553,11 +545,12 @@ class TestWarmStartedSearch:
             assert len(per_search) == len(accepted) == 20
             start = carried
             for t, evaluations in zip(accepted, per_search):
-                k = rung_of(t, params)
+                k = t.rung
+                assert t == _rung(params, k)
                 tried = k - start + 1 if k > start else start - k + 1 + (k > 0)
                 assert evaluations == tried, (carried, per_search)
                 start = k
-            cold = sum(2 + rung_of(t, params) for t in accepted)
+            cold = sum(2 + t.rung for t in accepted)
             assert sum(per_search) < cold
 
     def test_descent_leaves_its_input_alone(self):
