@@ -51,6 +51,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_paths = []
     finals = {}
+    # the mid-run figures are read at iteration 100, or the last if earlier
+    mid = min(100, configs[0].recon.iterations)
     for cfg in configs:
         algorithm, levels = cfg.recon.algorithm, cfg.recon.levels
         name = algorithm if algorithm == "wtv" else f"{algorithm}_l{levels}"
@@ -63,20 +65,19 @@ def main(argv=None) -> int:
         log.write_csv(path)
         csv_paths.append(path)
         print(f"{name:12s} final ROI RMSE {series[-1]:7.3f} HU   "
-              f"at iter 100 {series[min(99, len(series) - 1)]:7.3f} HU   "
+              f"at iter {mid} {series[mid - 1]:7.3f} HU   "
               f"({time.time() - started:.0f}s)")
 
     compare_runs(csv_paths, out / "compare.csv")
     print(f"\nmerged table: {out / 'compare.csv'}")
 
-    at_100 = min(99, configs[0].recon.iterations - 1)
     wtv_final = finals["wtv"][-1]
-    wtv_100 = finals["wtv"][at_100]
+    wtv_mid = finals["wtv"][mid - 1]
     print(f"\nwTV final {wtv_final:.3f} HU; checks:")
     for lv in args.levels:
-        s1 = finals[f"ssatv1_l{lv}"][at_100]
-        print(f"  ssatv1 l={lv} at iter 100: {s1:7.3f} vs wTV {wtv_100:7.3f}  "
-              f"{'faster' if s1 <= wtv_100 else 'SLOWER'}")
+        s1 = finals[f"ssatv1_l{lv}"][mid - 1]
+        print(f"  ssatv1 l={lv} at iter {mid}: {s1:7.3f} vs wTV {wtv_mid:7.3f}  "
+              f"{'faster' if s1 <= wtv_mid else 'SLOWER'}")
     last = None
     for lv in args.levels:
         s2 = finals[f"ssatv2_l{lv}"][-1]

@@ -87,33 +87,39 @@ def rasterize(spec: PhantomSpec, width: int, height: int, pixel_size: float) -> 
 
     A pixel takes a primitive's value when its center lies inside: ellipses
     use the closed region, bars the half-open box [min, max) on both axes so
-    that edges shared between a bar and its gap are assigned once.
+    that edges shared between a bar and its gap are assigned once.  Each
+    primitive is evaluated only on the pixels of its bounding box: a bar's
+    exactly, an ellipse's widened by two pixels.
     """
     grid = ImageGrid.zeros(width, height, pixel_size)
     xs = grid.x_centers()
     ys = grid.y_centers()
     hu = np.full((height, width), AIR_HU)
-    X, Y = np.meshgrid(xs, ys)
     for prim in spec.primitives:
         if isinstance(prim, Ellipse):
-            dx = X - prim.center[0]
-            dy = Y - prim.center[1]
+            reach = max(prim.semi_axes) + 2.0 * pixel_size
+            cols = _span(xs, prim.center[0] - reach, prim.center[0] + reach)
+            rows = _span(ys, prim.center[1] - reach, prim.center[1] + reach)
+            dx = xs[None, cols] - prim.center[0]
+            dy = ys[rows, None] - prim.center[1]
             th = np.radians(prim.angle_deg)
             c, s = np.cos(th), np.sin(th)
             u = (dx * c + dy * s) / prim.semi_axes[0]
             v = (-dx * s + dy * c) / prim.semi_axes[1]
-            mask = u * u + v * v <= 1.0
+            hu[rows, cols][u * u + v * v <= 1.0] = prim.value_hu
         elif isinstance(prim, Bar):
             x0 = prim.center[0] - prim.width / 2.0
             y0 = prim.center[1] - prim.height / 2.0
-            mask = (
-                (X >= x0) & (X < x0 + prim.width)
-                & (Y >= y0) & (Y < y0 + prim.height)
-            )
+            cols = _span(xs, x0, x0 + prim.width)
+            hu[_span(ys, y0, y0 + prim.height), cols] = prim.value_hu
         else:
             raise TypeError(f"unknown primitive {prim!r}")
-        hu[mask] = prim.value_hu
     return grid.with_data(hu_to_mu(hu))
+
+
+def _span(centers: np.ndarray, lo: float, hi: float) -> slice:
+    """The slice of the increasing ``centers`` with lo <= center < hi."""
+    return slice(int(np.searchsorted(centers, lo)), int(np.searchsorted(centers, hi)))
 
 
 def _bar_sequence(x_center: float, value_hu: float, widths, bar_length: float,

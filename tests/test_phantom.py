@@ -2,8 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.core import Sinogram, hu_to_mu, mu_to_hu
+from latomo.core import ImageGrid, Sinogram, hu_to_mu, mu_to_hu
 from latomo.phantom import (
+    AIR_HU,
     Bar,
     Ellipse,
     NoiseSpec,
@@ -67,6 +68,77 @@ class TestRasterize:
         on = img.data > 0.02
         # long axis rotated onto Y: taller than wide
         assert on[:, 8].sum() > on[8, :].sum()
+
+
+def reference_rasterize(spec, width, height, pixel_size):
+    """The rasterizer as first written, every primitive evaluated over the
+    whole grid, kept as an oracle that ``rasterize`` must match bit for bit."""
+    grid = ImageGrid.zeros(width, height, pixel_size)
+    hu = np.full((height, width), AIR_HU)
+    X, Y = np.meshgrid(grid.x_centers(), grid.y_centers())
+    for prim in spec.primitives:
+        if isinstance(prim, Ellipse):
+            dx = X - prim.center[0]
+            dy = Y - prim.center[1]
+            th = np.radians(prim.angle_deg)
+            c, s = np.cos(th), np.sin(th)
+            u = (dx * c + dy * s) / prim.semi_axes[0]
+            v = (-dx * s + dy * c) / prim.semi_axes[1]
+            mask = u * u + v * v <= 1.0
+        else:
+            x0 = prim.center[0] - prim.width / 2.0
+            y0 = prim.center[1] - prim.height / 2.0
+            mask = (X >= x0) & (X < x0 + prim.width) & (Y >= y0) & (Y < y0 + prim.height)
+        hu[mask] = prim.value_hu
+    return hu_to_mu(hu)
+
+
+# rotated ellipses, and primitives partly or wholly off a 48 x 40 grid of 2 mm
+OFF_GRID_SPEC = """\
+ellipse 0 0 30 25 0 800
+ellipse 10 -5 12 4 33 100
+ellipse -40 30 20 9 -70 250
+ellipse 200 0 5 5 0 -500
+ellipse 0 -41 3 6 15 60
+bar -47 0 4 100 400
+bar 30 39.5 10 1 -200
+bar 0 300 2 2 900
+bar 5 5 0.7 0.3 1200
+"""
+
+
+class TestRasterizeOracle:
+    @pytest.mark.parametrize("width, height, pixel", [
+        (512, 512, 0.5), (256, 256, 1.0), (64, 64, 4.0), (33, 21, 4.0),
+    ])
+    def test_head_phantom_equals_full_grid_oracle(self, width, height, pixel):
+        spec = builtin_head_phantom()
+        got = rasterize(spec, width, height, pixel).data
+        assert got.tobytes() == reference_rasterize(spec, width, height, pixel).tobytes()
+
+    def test_centers_on_bar_edges(self):
+        # on an odd grid of 0.25 mm every bar edge of the head phantom is a
+        # pixel center, where the half-open box decides
+        spec = builtin_head_phantom()
+        grid = ImageGrid.zeros(513, 513, 0.25)
+        xs, ys = grid.x_centers(), grid.y_centers()
+        bars = [p for p in spec.primitives if isinstance(p, Bar)]
+        for bar in bars:
+            x0 = bar.center[0] - bar.width / 2.0
+            y0 = bar.center[1] - bar.height / 2.0
+            assert np.isin([x0, x0 + bar.width], xs).all()
+            assert np.isin([y0, y0 + bar.height], ys).all()
+        got = rasterize(spec, 513, 513, 0.25).data
+        assert got.tobytes() == reference_rasterize(spec, 513, 513, 0.25).tobytes()
+
+    def test_spec_file_off_the_grid(self, tmp_path):
+        path = tmp_path / "off.phantom"
+        path.write_text(OFF_GRID_SPEC)
+        spec = load_phantom_spec(path)
+        got = rasterize(spec, 48, 40, 2.0).data
+        assert got.tobytes() == reference_rasterize(spec, 48, 40, 2.0).tobytes()
+        # the wholly off-grid primitives paint nothing
+        assert not np.isin(got, hu_to_mu(np.array([-500.0, 900.0]))).any()
 
 
 class TestBuiltinPhantom:

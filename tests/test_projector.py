@@ -632,3 +632,45 @@ def test_trace_equals_reference_byte_for_byte(scan):
     assert (dropped > 0) == (scan == "corner-45deg")
     if scan == "fan-wider-than-grid":
         assert missed > 0
+
+
+# the oracle scans, plus the two frame cases no oracle scan has
+FORWARD_SCANS = {
+    **ORACLE_SCANS,
+    "transposes-only-10-80": (replace(SMALL_GEOM, angle_start=10.0, angle_end=80.0,
+                                      angle_increment=5.0), 32, 32, 4.0),
+    # no two views are related, so one frame and a 1-D product
+    "one-frame-10-40": (replace(SMALL_GEOM, angle_start=10.0, angle_end=40.0,
+                                angle_increment=5.0), 32, 32, 4.0),
+}
+
+
+def forward_images(height, width):
+    """float64, float32, Fortran-order and signed-zero images."""
+    rng = np.random.default_rng(28)
+    f = rng.uniform(-0.01, 0.04, (height, width))
+    signed = np.where(f < 0.0, -0.0, f)
+    return {"float64": f, "float32": f.astype(np.float32),
+            "fortran": np.asfortranarray(f), "signed-zero": signed}
+
+
+@pytest.mark.parametrize("scan", sorted(FORWARD_SCANS))
+def test_forward_equals_stacked_views_byte_for_byte(scan):
+    geom, width, height, pixel = FORWARD_SCANS[scan]
+    frames = {(flip, transposed) for _, flip, transposed in
+              Projector(geom, width, height, pixel)._symmetry}
+    if scan == "transposes-only-10-80":
+        assert frames == {(False, False), (False, True)}
+    if scan == "one-frame-10-40":
+        assert frames == {(False, False)}
+    for name, image in forward_images(height, width).items():
+        per_view = Projector(geom, width, height, pixel)
+        expected = np.stack([per_view.forward_view(image, view)
+                             for view in range(geom.num_views)])
+        proj = Projector(geom, width, height, pixel)
+        for state in ("fresh", "warm"):
+            got = proj.forward(image)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), (name, state)
+        assert sorted(proj._views) == sorted({s for s, _, _ in proj._symmetry})
+        assert proj.nbytes == per_view.nbytes

@@ -79,3 +79,15 @@ def test_run_comparison_rejects_a_bad_config_before_any_run(tmp_path, sets, leve
     assert result.stderr.startswith(f"error: {key}: ")
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+def test_run_comparison_labels_the_iteration_it_reads(tmp_path):
+    """A run shorter than 100 iterations reports its mid-run figures at its
+    last iteration, under that iteration's number."""
+    out = tmp_path / "comparison"
+    result = run_script(SMALL + ["recon.iterations=5", f"output.dir={out}"], "--levels", "2")
+    assert result.returncode == 0, result.stderr
+    assert "at iter 100" not in result.stdout
+    lines = result.stdout.splitlines()
+    assert sum("at iter 5 " in line for line in lines) == 3  # wtv, ssatv1, ssatv2
+    assert any(line.strip().startswith("ssatv1 l=2 at iter 5:") for line in lines)
