@@ -31,6 +31,7 @@ from .projector import Projector
 from .ssatv1 import ssatv1_pass
 from .ssatv2 import make_pyramid_level, ssatv2_pass
 from .tv import (
+    Buffers,
     LineSearchParams,
     descent_steps,
     forward_diff_op,
@@ -208,11 +209,12 @@ def _check_sinogram(geom: FanBeamGeometry, sino: Sinogram):
         raise ValueError("sinogram has non-finite values")
 
 
-def _regularization_phase(f: np.ndarray, config: ReconConfig,
-                          rungs: dict[int, int]) -> tuple[np.ndarray, tuple[float, ...]]:
+def _regularization_phase(f: np.ndarray, config: ReconConfig, rungs: dict[int, int],
+                          buffers: Buffers) -> tuple[np.ndarray, tuple[float, ...]]:
     """One regularization phase.  ``rungs`` maps each schedule entry to the
     rung its first line search accepted in the previous phase of the run;
-    each entry's first search starts there, and the map is updated."""
+    each entry's first search starts there, and the map is updated.  Every
+    pass works in the run's ``buffers``."""
     if config.algorithm == "sart":
         return f, ()
     params = config.line_search
@@ -223,12 +225,14 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig,
         start = rungs.get(entry, 0)
         if config.algorithm == "wtv":
             f, sizes = descent_steps(f, None, forward_diff_op(f.shape[0]), steps, params,
-                                     config.eps_hu, start=start)
+                                     config.eps_hu, start=start, buffers=buffers)
         elif config.algorithm == "ssatv1":
-            f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params, start=start)
+            f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params, start=start,
+                                   buffers=buffers)
         else:  # ssatv2: a fresh level per scale, weights seeded from the current image
-            level = make_pyramid_level(f, scale, config.eps_hu)
-            f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params, start=start)
+            level = make_pyramid_level(f, scale, config.eps_hu, buffers=buffers)
+            f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params, start=start,
+                                   buffers=buffers)
         if sizes:
             rungs[entry] = sizes[0].rung
         sizes_all.extend(sizes)
@@ -272,15 +276,19 @@ def run_reconstruction(config: ReconConfig, sinogram: Sinogram,
     p = sinogram.data
     yop1 = forward_diff_op(config.height)
     rungs: dict[int, int] = {}
+    # every image-size buffer of the regularizer and the objective, made once
+    # for the whole run: after the first iteration they allocate only each
+    # pass's result, whatever heap set-up and the SART sweeps leave behind
+    buffers = Buffers()
     for n in range(config.iterations):
         started = time.perf_counter()
         for view in range(geom.num_views):
             f = projector.sart_update_view(f, p[view], view, config.relaxation)
         f = np.maximum(f, 0.0)
-        f, step_sizes = _regularization_phase(f, config, rungs)
+        f, step_sizes = _regularization_phase(f, config, rungs, buffers)
         f = np.maximum(f, 0.0)
 
-        objective = reweighted_value(f, config.eps_hu, yop1)
+        objective = reweighted_value(f, config.eps_hu, yop1, buffers=buffers)
         roi_err = full_err = None
         if reference is not None:
             img = ImageGrid(config.width, config.height, config.pixel_size, f)

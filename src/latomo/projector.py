@@ -16,22 +16,27 @@ Tracing: all rays of a view are traced at once.  Each ray's parameters at
 the X and Y grid planes, then its entry and exit, fill one row of a single
 (channels, width + height + 4) float64 buffer, which is clamped to the
 grid's span and sorted in place.  Only segments of positive length are
-kept; their midpoints, pixel ids and weights are computed for those alone.
-So while a view is traced it holds that buffer, a boolean mask of about its
-shape and six float64 arrays of one value per kept segment, the matrix's
-weights among them: about 29 MiB at peak for a 768-channel view of a
-512 x 512 grid, whose matrix and sums take 7.3 MiB.
+kept; their parameters are gathered out of the buffer, which is then
+freed, and their midpoints, pixel ids and weights are computed for those
+alone, each temporary freed at its last use.  The in-grid test is four
+min/max reductions; a mask is built only when one fails.  A 768-channel
+view of a 512 x 512 grid peaks at 14-18 MiB while it is traced, its matrix
+and sums (7.3 MiB) included.
 
 Symmetry: the grid is centered on the isocenter, so its symmetries map
-the rays of one view onto those of another.  Flipping X maps view beta onto
-view 180 - beta; on a square grid, transposing maps it onto view 90 - beta,
-and flipping X then transposing onto view beta + 90 (all mod 360 degrees).
-Views are walked in order, and each is applied through the first earlier
-traced view it is related to by one of these: the image is mapped into the
-traced view's frame and back, and the channels are reversed when exactly one
-of flip and transpose applies.  Only views with no such partner are traced
-and stored.  On a 10-170 degree scan in 1 degree steps, 46 of the 161 views
-are traced, 45 mirrored and 70 reflected or rotated.
+the rays of one view onto those of another (all mod 360 degrees).
+Flipping X maps view beta onto view 180 - beta, flipping Y onto -beta, and
+both (the half turn) onto beta + 180.  On a square grid, transposing maps
+it onto 90 - beta, flipping X then transposing onto beta + 90, flipping Y
+then transposing onto beta + 270, and all three onto 270 - beta.  Views are
+walked in order, and each is applied through the first earlier traced view
+it is related to by one of these maps (the X flip, the transpose and the
+quarter turn are tried first): the image is mapped into the traced view's
+frame and back, and the channels are reversed when the map is a
+reflection.  Only views with no such partner
+are traced and stored.  On a 10-170 degree scan in 1 degree steps, 46 of
+the 161 views are traced, 45 mirrored and 70 reflected or rotated; on a
+full 0-359 degree scan, the 46 views 0-45 are traced.
 
 The full forward projection multiplies each traced matrix once: the image is
 laid out in each of the k frames the scan uses as the columns of one
@@ -65,6 +70,33 @@ def _congruent(angle: float, target: float) -> bool:
     return abs((angle - target + 180.0) % 360.0 - 180.0) <= _SYMMETRY_TOL_DEG
 
 
+# A frame map: (flip X, flip Y, transpose), applied to an image in that
+# order by ``Projector._to_traced``.  It is a reflection when an odd number
+# of the three apply; a reflection reverses the channels.
+Frame = tuple[bool, bool, bool]
+_IDENTITY: Frame = (False, False, False)
+
+# The grid's symmetries other than the identity, each with the angle A that
+# relates the views it maps onto each other: beta_i + beta_j = A (mod 360)
+# for a reflection, beta_j - beta_i = A for a rotation, where the image of
+# view j is seen in the frame of view i.  The maps with a transpose hold on
+# square grids only.  The first three are tried first, so scans within
+# 0-180 degrees keep the maps they have always had.
+_GRID_MAPS: tuple[tuple[Frame, float], ...] = (
+    ((True, False, False), 180.0),  # X flip
+    ((False, False, True), 90.0),   # transpose: reflection across y = x
+    ((True, False, True), 90.0),    # quarter turn
+    ((False, True, False), 0.0),    # Y flip
+    ((True, True, False), 180.0),   # half turn
+    ((False, True, True), 270.0),   # three-quarter turn
+    ((True, True, True), 270.0),    # reflection across y = -x
+)
+
+
+def _reflects(frame: Frame) -> bool:
+    return sum(frame) % 2 == 1
+
+
 @dataclass(frozen=True)
 class ViewSums:
     """Per-view SART denominators: ray lengths and per-pixel weight sums."""
@@ -93,25 +125,23 @@ class Projector:
         self.angles_deg = geom.view_angles_deg()
         # traced view -> its (matrix, transpose, row_sums, col_divisors)
         self._views: dict[int, tuple[csr_array, csc_array, np.ndarray, np.ndarray]] = {}
-        # view -> (traced view it is applied through, flip X, transpose)
-        self._symmetry: list[tuple[int, bool, bool]] = []
-        square = self.width == self.height
+        # view -> (traced view it is applied through, frame map into it)
+        self._symmetry: list[tuple[int, Frame]] = []
+        maps = [(frame, angle) for frame, angle in _GRID_MAPS
+                if self.width == self.height or not frame[2]]
         angles = self.angles_deg.tolist()
         traced: list[int] = []
         for j, beta in enumerate(angles):
             for i in traced:
-                if _congruent(angles[i] + beta, 180.0):
-                    self._symmetry.append((i, True, False))
-                elif square and _congruent(angles[i] + beta, 90.0):
-                    self._symmetry.append((i, False, True))
-                elif square and _congruent(beta - angles[i], 90.0):
-                    self._symmetry.append((i, True, True))
-                else:
-                    continue
-                break
+                frame = next((frame for frame, angle in maps if _congruent(
+                    beta + angles[i] if _reflects(frame) else beta - angles[i], angle)),
+                    None)
+                if frame is not None:
+                    self._symmetry.append((i, frame))
+                    break
             else:
                 traced.append(j)
-                self._symmetry.append((j, False, False))
+                self._symmetry.append((j, _IDENTITY))
         half_diag = float(np.hypot(self.width, self.height)) * self.pixel_size / 2.0
         if half_diag > geom.fov_radius:
             log.info(
@@ -213,36 +243,48 @@ class Projector:
         counts = np.count_nonzero(keep, axis=1)
         lower = alphas[:, :-1][keep]
         t_mid = alphas[:, 1:][keep]
+        # Each array is freed at its last use.  Where the trace leaves its
+        # freed memory no longer decides the reconstruction's page faults,
+        # since the regularizer works in buffers made once per run; it
+        # still decides the next trace's.  So the kept weights are made
+        # after the temporaries, not in place in `seg`: in place, a warm
+        # desk-ssatv2 set-up took 24 k minor faults, not 15 k (glibc,
+        # 2-core x86-64).
+        del alphas, tx, ty, keep
         seg = t_mid - lower
         t_mid += lower
+        del lower
         t_mid *= 0.5
 
         def cells(t, v_comp, s_comp, lo):
             """Column (or row) of the pixel that holds each midpoint t:
-            floor((s + t * v - lo) / p), computed in place in t."""
-            t *= np.repeat(v_comp, counts)
-            t += s_comp
-            t -= lo
-            t /= p
-            return np.floor(t, out=t)
+            floor((s + t * v - lo) / p), in a new array."""
+            cell = np.repeat(v_comp, counts)
+            np.multiply(t, cell, out=cell)
+            cell += s_comp
+            cell -= lo
+            cell /= p
+            return np.floor(cell, out=cell)
 
-        ix = cells(t_mid.copy(), vec[:, 0], src[0], self.x_lo)
+        ix = cells(t_mid, vec[:, 0], src[0], self.x_lo)
         iy = cells(t_mid, vec[:, 1], src[1], self.y_lo)
-        valid = (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height)
+        del t_mid
+        inside = not ix.size or (ix.min() >= 0 and ix.max() < self.width
+                                 and iy.min() >= 0 and iy.max() < self.height)
+        valid = None if inside else (
+            (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height))
         iy *= self.width
         iy += ix
-        # The arrays the matrix keeps are allocated last, above the
-        # temporaries, so the memory those free stays inside the heap.
-        # Weights made in place early let free() return it to the system,
-        # and the regularizer faulted it back in on every call: a
-        # fewview-noisy-ssatv1 repeat took 234 k minor faults, not 18 k
-        # (glibc, 2-core x86-64).
+        del ix
         weights = seg * np.repeat(np.sqrt(np.sum(vec * vec, axis=1)), counts)
+        del seg
         ends = np.cumsum(counts)  # kept entries up to the end of each ray
-        if not valid.all():
+        if valid is not None:
             weights, iy = weights[valid], iy[valid]
             ends = np.concatenate(([0], np.cumsum(valid)))[ends]
+            del valid
         pixels = iy.astype(np.int32)
+        del iy
         indptr = np.zeros(n_chan + 1, dtype=np.int32)
         indptr[1:] = ends
         n_pix = self.width * self.height
@@ -255,40 +297,46 @@ class Projector:
 
     def _stored(self, view_index: int) -> tuple[tuple[csr_array, csc_array, np.ndarray,
                                                       np.ndarray],
-                                                tuple[bool, bool], int]:
+                                                Frame, int]:
         """The (matrix, transpose, row_sums, col_divisors) of the traced view
-        that applies ``view_index``; the (flip, transposed) frame map into it
-        (see ``_to_traced``); and the channel step, -1 when exactly one of
-        flip and transpose applies and the channels run reversed, else 1."""
+        that applies ``view_index``; the frame map into it (see
+        ``_to_traced``); and the channel step, -1 when the map is a
+        reflection and the channels run reversed, else 1."""
         self._require_view(view_index)
-        source, flip, transposed = self._symmetry[view_index]
+        source, frame = self._symmetry[view_index]
         stored = self._views.get(source)
         if stored is None:
             stored = self._views[source] = self._trace(source)
-        return stored, (flip, transposed), -1 if flip != transposed else 1
+        return stored, frame, -1 if _reflects(frame) else 1
 
     @staticmethod
-    def _to_traced(image: np.ndarray, flip: bool, transposed: bool) -> np.ndarray:
+    def _to_traced(image: np.ndarray, flip_x: bool, flip_y: bool,
+                   transposed: bool) -> np.ndarray:
         """An image in a view's frame, seen in its traced view's frame."""
-        image = image[:, ::-1] if flip else image
+        if flip_x or flip_y:
+            image = image[::-1 if flip_y else 1, ::-1 if flip_x else 1]
         return image.T if transposed else image
 
     @staticmethod
-    def _from_traced(image: np.ndarray, flip: bool, transposed: bool) -> np.ndarray:
+    def _from_traced(image: np.ndarray, flip_x: bool, flip_y: bool,
+                     transposed: bool) -> np.ndarray:
         """Inverse of ``_to_traced``."""
         image = image.T if transposed else image
-        return image[:, ::-1] if flip else image
+        if flip_x or flip_y:
+            image = image[::-1 if flip_y else 1, ::-1 if flip_x else 1]
+        return image
 
     @property
     def mirrored_views(self) -> int:
-        """Views applied through a traced view flipped in X only."""
-        return sum(flip and not transposed for _, flip, transposed in self._symmetry)
+        """Views applied through a traced view flipped in X, in Y or in both
+        (a half turn), without a transpose."""
+        return sum(frame != _IDENTITY and not frame[2] for _, frame in self._symmetry)
 
     @property
     def reflected_views(self) -> int:
         """Views applied through a traced view with a transpose (reflected
-        across y = x, or rotated by 90 degrees)."""
-        return sum(transposed for _, _, transposed in self._symmetry)
+        across a diagonal, or turned by 90 or 270 degrees)."""
+        return sum(frame[2] for _, frame in self._symmetry)
 
     @property
     def nbytes(self) -> int:
@@ -328,11 +376,11 @@ class Projector:
         each view: scipy's multi-vector product sums each column in the
         order of its single-vector product."""
         users: dict[int, list[tuple[int, int, int]]] = {}
-        columns: dict[tuple[bool, bool], int] = {}
-        for view, (source, flip, transposed) in enumerate(self._symmetry):
-            column = columns.setdefault((flip, transposed), len(columns))
+        columns: dict[Frame, int] = {}
+        for view, (source, frame) in enumerate(self._symmetry):
+            column = columns.setdefault(frame, len(columns))
             users.setdefault(source, []).append(
-                (view, column, -1 if flip != transposed else 1))
+                (view, column, -1 if _reflects(frame) else 1))
         # every trace first, so no trace's temporaries overlap the stack
         stored = {source: self._stored(source)[0][0] for source in users}
         image = self._image(values)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tv import LineSearchParams, descent_steps, row_operator
+from .tv import Buffers, LineSearchParams, descent_steps, row_operator
 
 
 def binomial_kernel(s: int) -> np.ndarray:
@@ -42,12 +42,15 @@ def derivative_kernel(s: int) -> tuple[np.ndarray, int]:
 
 
 def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
-                params: LineSearchParams, start: int = 0) -> tuple[np.ndarray, list[float]]:
+                params: LineSearchParams, start: int = 0, *,
+                buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
     """Weights from the scale-s operator, frozen for ``steps`` descent
     iterations whose first line search starts at rung ``start``; also
-    reports the accepted step sizes."""
+    reports the accepted step sizes.  The descent works in ``buffers``
+    when given."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     yop = row_operator(*derivative_kernel(s), f.shape[0])
-    return descent_steps(f, None, yop, steps, params, eps_hu, start=start)
+    return descent_steps(f, None, yop, steps, params, eps_hu, start=start,
+                         buffers=buffers)

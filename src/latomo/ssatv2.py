@@ -17,6 +17,7 @@ import numpy as np
 
 from .ssatv1 import binomial_kernel
 from .tv import (
+    Buffers,
     LineSearchParams,
     RowOperator,
     descent_steps,
@@ -51,23 +52,30 @@ class PyramidLevel:
             raise ValueError("weights do not match the down-sampled grid")
 
 
-def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
-    """Level with weights taken from the down-sampled current image."""
+def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float, *,
+                       buffers: Buffers | None = None) -> PyramidLevel:
+    """Level with weights taken from the down-sampled current image.  Given
+    ``buffers``, the down-sampled image and the weights are its ``sampled``
+    and ``weights`` buffers of the coarse shape, so the weights hold until
+    the next level of that shape is made."""
     f = np.asarray(f, dtype=np.float64)
     down = down_sampler(f.shape[0], s)
-    f_d = down.apply(f)
-    w_d = tv_weights(f_d, eps_hu, forward_diff_op(f_d.shape[0]))
+    buffers = Buffers() if buffers is None else buffers
+    f_d = down.apply(f, out=buffers.array("sampled", (down.shape[0], f.shape[1])))
+    w_d = tv_weights(f_d, eps_hu, forward_diff_op(f_d.shape[0]), buffers=buffers)
     return PyramidLevel(s, down, w_d)
 
 
 def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
-                params: LineSearchParams, start: int = 0) -> tuple[np.ndarray, list[float]]:
+                params: LineSearchParams, start: int = 0, *,
+                buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
     """``steps`` coarse-grid descent iterations pulled back to the fine grid.
 
     Each iteration: down-sample, take the weighted-TV gradient with the
     level's frozen weights, find the step on the coarse image, then update
     the fine image along the adjoint-up-sampled direction.  The first line
-    search starts at rung ``start``.
+    search starts at rung ``start``.  The descent works in ``buffers`` when
+    given.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -80,4 +88,4 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
         )
     return descent_steps(f, level.weights, forward_diff_op(down.shape[0]),
                          steps, params, eps_hu, down if level.scale > 1 else None,
-                         start)
+                         start, buffers=buffers)

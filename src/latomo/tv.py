@@ -162,6 +162,37 @@ class Differences:
         return np.sqrt(self.sq, out=out)
 
 
+class Buffers:
+    """Image-size work arrays of the regularizer, each made on first use and
+    kept by its role and shape.
+
+    ``run_reconstruction`` makes one per run and hands it to every pass and
+    to the logged objective, so after the first outer iteration they
+    allocate no image-size buffer.  A call given none makes its own, which
+    lives as long as the call.  A call leaves nothing in the buffers that a
+    later call reads, except the weights :func:`tv_weights` returns.
+    """
+
+    __slots__ = ("_made",)
+
+    def __init__(self):
+        self._made: dict = {}
+
+    def array(self, role: str, shape) -> np.ndarray:
+        """The float64 buffer ``role`` of ``shape``."""
+        return self._get(role, tuple(shape), np.empty)
+
+    def differences(self, index: int, shape) -> Differences:
+        """The ``index``-th set of :class:`Differences` of ``shape``."""
+        return self._get(index, tuple(shape), Differences)
+
+    def _get(self, role, shape, make):
+        found = self._made.get((role, shape))
+        if found is None:
+            found = self._made[role, shape] = make(shape)
+        return found
+
+
 def _reweight(magnitude: np.ndarray, eps_mu: float,
               out: np.ndarray | None = None) -> np.ndarray:
     out = np.add(magnitude, eps_mu, out=out)
@@ -185,19 +216,33 @@ def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
     return _weighted_sum(w, diffs.magnitude(delta_mu, out=scratch))
 
 
-def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator) -> np.ndarray:
-    """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU."""
+def _magnitude(f: np.ndarray, yop: RowOperator, buffers: Buffers) -> np.ndarray:
+    """|grad f| in the buffers' first set of differences (``sq``); their
+    ``dx`` and ``dy`` are free again on return."""
+    diffs = buffers.differences(0, np.shape(f))
+    return diffs.fill(f, yop, scratch=diffs.dy).magnitude(out=diffs.sq)
+
+
+def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
+               buffers: Buffers | None = None) -> np.ndarray:
+    """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU.
+    The weights are the ``weights`` buffer of ``buffers`` when given."""
     eps_mu = _eps_mu(eps_hu)
-    diffs = Differences(np.shape(f)).fill(f, yop)
-    return _reweight(diffs.magnitude(out=diffs.sq), eps_mu, out=diffs.sq)
+    buffers = Buffers() if buffers is None else buffers
+    return _reweight(_magnitude(f, yop, buffers), eps_mu,
+                     out=buffers.array("weights", np.shape(f)))
 
 
-def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator) -> float:
+def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
+                     buffers: Buffers | None = None) -> float:
     """``tv_value(f, tv_weights(f, eps_hu, yop), yop)``, bit for bit, from one
-    difference pass: the TV value of ``f`` under its own weights."""
+    difference pass: the TV value of ``f`` under its own weights.  It works
+    in the first set of differences of ``buffers`` when given."""
     eps_mu = _eps_mu(eps_hu)
-    magnitude = Differences(np.shape(f)).fill(f, yop).magnitude()
-    return _weighted_sum(_reweight(magnitude, eps_mu), magnitude)
+    buffers = Buffers() if buffers is None else buffers
+    magnitude = _magnitude(f, yop, buffers)
+    weights = _reweight(magnitude, eps_mu, out=buffers.differences(0, np.shape(f)).dx)
+    return _weighted_sum(weights, magnitude)
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
@@ -226,7 +271,8 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
 def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
                   steps: int, params: LineSearchParams, eps_hu: float,
                   down: RowOperator | None = None,
-                  start: int = 0) -> tuple[np.ndarray, list[float]]:
+                  start: int = 0, *,
+                  buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
     TV value.  Returns the image and the accepted :class:`Step` sizes, each
@@ -250,27 +296,29 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
     iterate's give its weights, its TV value (the first search's starting
     value) and its gradient.  Without a down-sampler an accepted trial's
     give the next gradient, and its value starts the next search.  The
-    descent allocates its buffers once per call and never writes ``f``: the
-    iterate, the gradient (which also holds each trial image), the
-    direction, the weights when it computes them, and two sets of
-    differences.  Trials alternate between the two sets; the accepted trial
-    is the last or the second-last one its search evaluated, so its set is
-    intact.  A trial's image is not kept: the accepted one is recomputed as
-    the iterate.
+    descent never writes ``f``.  It works in the gradient (which also holds
+    each trial image), the direction, the weights when it computes them,
+    and two sets of differences, all taken from ``buffers``: the run's, or
+    its own when none is given.  Trials alternate between the two sets; the
+    accepted trial is the last or the second-last one its search evaluated,
+    so its set is intact.  A trial's image is not kept: the accepted one is
+    recomputed as the iterate, a new array unless no step is taken.
 
     With a down-sampler ``down`` the value, weights and search live on the
-    grid of ``down.apply(f)`` and each step is taken along
-    ``down.apply_t(ghat)`` on the grid of ``f``.  There a trial never becomes
-    an iterate, so one set of differences serves.
+    grid of ``down.apply(f)``, held in the ``sampled`` buffer, and each step
+    is taken along ``down.apply_t(ghat)``, held in the ``pulled`` buffer on
+    the grid of ``f``.  There a trial never becomes an iterate, so one set
+    of differences serves.
     """
     delta_mu = _eps_mu(eps_hu)
     f = np.asarray(f, dtype=np.float64)
+    buffers = Buffers() if buffers is None else buffers
     shape = f.shape if down is None else (down.shape[0], f.shape[1])
-    grad, ghat = np.empty(shape), np.empty(shape)
-    pair = ((Differences(shape),) * 2 if down is not None
-            else (Differences(shape), Differences(shape)))
+    grad, ghat = buffers.array("gradient", shape), buffers.array("direction", shape)
+    pair = ((buffers.differences(0, shape),) * 2 if down is not None
+            else (buffers.differences(0, shape), buffers.differences(1, shape)))
     if down is not None:
-        sampled, pulled = np.empty(shape), np.empty_like(f)
+        sampled, pulled = buffers.array("sampled", shape), buffers.array("pulled", f.shape)
     accepted: list[float] = []
     rung, owned = start, False
     diffs, f0 = None, None  # the current iterate's, while still known
@@ -290,7 +338,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
         found = pair[0].fill(x, yop, scratch=grad)
         magnitude = found.magnitude(out=grad)
         if w is None:
-            w = _reweight(magnitude, delta_mu)
+            w = _reweight(magnitude, delta_mu, out=buffers.array("weights", x.shape))
         return found, _weighted_sum(w, magnitude)
 
     for _ in range(steps):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latomo import tv
+from latomo import driver, tv
 from latomo.core import FanBeamGeometry, Sinogram
 from latomo.driver import (
     CSV_HEADER,
@@ -178,11 +178,58 @@ class TestReconConfig:
 class TestRunReconstruction:
     def test_deterministic(self, small_scene):
         truth, projector, sino, roi = small_scene
-        cfg = config("ssatv2", iterations=3, levels=2)
-        img_a, log_a = run_reconstruction(cfg, sino, projector=projector)
-        img_b, log_b = run_reconstruction(cfg, sino, projector=projector)
-        npt.assert_array_equal(img_a.data, img_b.data)
-        assert [r.objective for r in log_a.rows] == [r.objective for r in log_b.rows]
+        for algorithm in ("sart", "wtv", "ssatv1", "ssatv2"):
+            cfg = config(algorithm, iterations=3, levels=1 if algorithm == "wtv" else 3)
+            img_a, log_a = run_reconstruction(cfg, sino, projector=projector)
+            img_b, log_b = run_reconstruction(cfg, sino, projector=projector)
+            npt.assert_array_equal(img_a.data, img_b.data, err_msg=algorithm)
+            assert ([r.objective for r in log_a.rows]
+                    == [r.objective for r in log_b.rows]), algorithm
+            assert ([r.step_sizes for r in log_a.rows]
+                    == [r.step_sizes for r in log_b.rows]), algorithm
+
+    @pytest.mark.parametrize("algorithm, calls", [
+        ("sart", set()),
+        ("wtv", {"descent_steps"}),
+        ("ssatv1", {"ssatv1_pass"}),
+        ("ssatv2", {"make_pyramid_level", "ssatv2_pass"}),
+    ])
+    def test_one_set_of_buffers_per_run(self, small_scene, algorithm, calls, monkeypatch):
+        """Every pass, level and logged objective of a run works in the same
+        buffers, made for that run; the images it hands on are not theirs."""
+        truth, projector, sino, roi = small_scene
+        seen = []
+
+        def spy(name):
+            real = getattr(driver, name)
+
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                seen.append((name, kwargs["buffers"], result))
+                return result
+            monkeypatch.setattr(driver, name, call)
+
+        for name in ("descent_steps", "ssatv1_pass", "ssatv2_pass", "make_pyramid_level",
+                     "reweighted_value"):
+            spy(name)
+        cfg = config(algorithm, iterations=3, levels=1 if algorithm == "wtv" else 3)
+        runs = []
+        for _ in range(2):
+            seen.clear()
+            images = []
+            run_reconstruction(cfg, sino, projector=projector,
+                               on_iteration=lambda n, f: images.append(f))
+            assert {name for name, _, _ in seen} == calls | {"reweighted_value"}
+            assert len({id(buffers) for _, buffers, _ in seen}) == 1
+            buffers = seen[0][1]
+            arrays = [array for made in buffers._made.values()
+                      for array in ((made.dx, made.dy, made.sq)
+                                    if isinstance(made, tv.Differences) else (made,))]
+            handed_on = images + [result[0] for name, _, result in seen
+                                  if name.endswith(("_pass", "_steps"))]
+            assert not any(np.shares_memory(image, a) for image in handed_on for a in arrays)
+            runs.append(buffers)
+        assert runs[0] is not runs[1]
 
     def test_degeneracy_chain_bitwise(self, small_scene, monkeypatch):
         # one scale-1 step: the same images from the same number of TV

@@ -223,7 +223,7 @@ class TestViewSums:
         sums = proj.view_sums(0)
         assert np.count_nonzero(sums.row_sums == 0) == 14
         (matrix, _, _, _), frame, _ = proj._stored(0)
-        assert frame == (False, False)
+        assert frame == (False, False, False)
         entries_per_ray = np.diff(matrix.indptr)
         npt.assert_array_equal(entries_per_ray == 0, sums.row_sums == 0)
 
@@ -239,7 +239,7 @@ class TestGridWiderThanFan:
     @pytest.mark.parametrize("view", [0, 3, 12])  # view 12 mirrors view 3
     def test_sart_matches_dense_oracle(self, view):
         proj = self.projector()
-        assert proj._stored(view)[1] == (view == 12, False)
+        assert proj._stored(view)[1] == (view == 12, False, False)
         uncovered = proj.view_sums(view).col_sums == 0
         assert np.count_nonzero(uncovered) > 80
         assert_sart_matches_dense_oracle(proj, view, seed=22 + view)
@@ -300,7 +300,7 @@ class TestMirrorSharing:
         assert proj.mirrored_views == views // 2
         rng = np.random.default_rng(18)
         for view in range(views // 2 + views % 2, views):
-            assert proj._stored(view)[1] == (True, False)
+            assert proj._stored(view)[1] == (True, False, False)
             fresh = traced_dense(proj, view)
             tol = 1e-9 * fresh.max()
             npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
@@ -326,7 +326,7 @@ class TestMirrorSharing:
 
     def test_mirrored_sart_matches_dense_oracle(self):
         proj = small_projector(8, 8, 16.0)
-        assert proj._stored(10)[1] == (True, False)
+        assert proj._stored(10)[1] == (True, False, False)
         assert_sart_matches_dense_oracle(proj, 10, seed=20)
 
     @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
@@ -346,8 +346,9 @@ class TestMirrorSharing:
 DIAGONAL_SCANS = {
     "degeneracy-64-1deg": (replace(DEGENERACY_GEOM, angle_increment=1.0), 64, 64, 2.0),
     "small-0-180-5deg": (replace(SMALL_GEOM, angle_increment=5.0), 32, 32, 4.0),
-    # 90, 405 and 450 reflect 0, 45 and 0; 360 rotates 270; 135, 180 and
-    # 315 mirror 45, 0 and 225
+    # 0 and 45 traced: 90, 405 and 450 reflect 0, 45 and 0 across y = x;
+    # 270 turns 0 by 270; 135 and 180 flip 45 and 0 in X, 315 and 360 flip
+    # 45 and 0 in Y, and 225 turns 45 by 180
     "small-0-450-45deg": (replace(SMALL_GEOM, angle_end=450.0, angle_increment=45.0),
                           16, 16, 4.0),
 }
@@ -356,27 +357,48 @@ DIAGONAL_SCANS = {
 def transposed_views(proj):
     """(view, traced view it is applied through) for every view applied with
     a transpose."""
-    return [(view, source) for view, (source, _, transposed)
-            in enumerate(proj._symmetry) if transposed]
+    return [(view, source) for view, (source, frame)
+            in enumerate(proj._symmetry) if frame[2]]
+
+
+def mapped_direction(frame, beta_deg):
+    """The source direction of view ``beta_deg`` under a frame map: the image
+    of a view in its traced view's frame, ``g(x, y) = f(M(x, y))``, is what
+    the traced view's rays see of ``f`` along the rays M maps them onto.
+    Flipping X, then Y, then transposing gives M(x, y) = (sx y, sy x) with a
+    transpose and (sx x, sy y) without."""
+    flip_x, flip_y, transposed = frame
+    c, s = np.cos(np.radians(beta_deg)), np.sin(np.radians(beta_deg))
+    sx, sy = (-1 if flip_x else 1), (-1 if flip_y else 1)
+    return np.array([sx * s, sy * c] if transposed else [sx * c, sy * s])
+
+
+def assert_frames_map_the_sources(proj):
+    """Every view's source is its traced view's source under its frame map,
+    and its channels run reversed exactly when the map is a reflection."""
+    for view, (source, frame) in enumerate(proj._symmetry):
+        assert source <= view and proj._symmetry[source] == (source, (False,) * 3)
+        beta = np.radians(proj.angles_deg[view])
+        npt.assert_allclose(mapped_direction(frame, proj.angles_deg[source]),
+                            [np.cos(beta), np.sin(beta)], rtol=0, atol=1e-12)
+        assert proj._stored(view)[2] == (-1 if sum(frame) % 2 else 1)
+        if proj.width != proj.height:
+            assert not frame[2]
 
 
 class TestDiagonalReflection:
     @pytest.mark.parametrize("scan, traced, reflected", [
         ("degeneracy-64-1deg", 46, 70),  # 10-55 traced
         ("small-0-180-5deg", 10, 17),    # 0-45 traced
-        ("small-0-450-45deg", 4, 4),     # 0, 45, 225 and 270 traced
+        ("small-0-450-45deg", 2, 4),     # 0 and 45 traced
     ])
     def test_reflected_views_equal_fresh_traces(self, scan, traced, reflected):
         geom, width, height, pixel = DIAGONAL_SCANS[scan]
         proj = Projector(geom, width, height, pixel)
         assert proj.reflected_views == reflected
         assert geom.num_views - proj.mirrored_views - reflected == traced
+        assert_frames_map_the_sources(proj)
         for view, source in transposed_views(proj):
-            assert source < view and proj._symmetry[source] == (source, False, False)
-            partner, beta = proj.angles_deg[[source, view]]
-            rotated = proj._symmetry[view][1]
-            relation = beta - partner if rotated else beta + partner  # 90 mod 360
-            assert np.sin(np.radians(relation)) == pytest.approx(1.0)
             fresh = traced_dense(proj, view)
             npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0,
                                 atol=1e-12 * fresh.max())
@@ -399,7 +421,7 @@ class TestDiagonalReflection:
     def test_reflected_sart_matches_dense_oracle(self, view):
         geom = DIAGONAL_SCANS["small-0-180-5deg"][0]
         proj = Projector(geom, 8, 8, 16.0)
-        assert proj._stored(view)[1] == (False, True)
+        assert proj._stored(view)[1] == (False, False, True)
         assert_sart_matches_dense_oracle(proj, view, seed=24 + view)
 
     @pytest.mark.parametrize("geom, width, height, pixel", [
@@ -433,31 +455,44 @@ class TestDiagonalReflection:
 
 
 # (geometry, width, height, pixel size, traced, mirrored, reflected): every
-# view of a scan is traced, applied through an X flip (mirrored), or applied
-# through a transpose with or without a flip (reflected or rotated)
+# view of a scan is traced, applied through a flip in X, in Y or in both
+# (mirrored), or applied through a transpose with or without flips
+# (reflected or rotated)
 SYMMETRY_SCANS = {
     "64-1deg": (*DIAGONAL_SCANS["degeneracy-64-1deg"], 46, 45, 70),
+    # every map of the square: 0-45 traced
+    "64-0-359-1deg": (replace(DEGENERACY_GEOM, angle_start=0.0, angle_end=359.0,
+                              angle_increment=1.0), 64, 64, 2.0, 46, 136, 178),
     "0-180-5deg": (*DIAGONAL_SCANS["small-0-180-5deg"], 10, 10, 17),
-    "0-450-45deg": (*DIAGONAL_SCANS["small-0-450-45deg"], 4, 3, 4),
+    "0-450-45deg": (*DIAGONAL_SCANS["small-0-450-45deg"], 2, 5, 4),
     # not symmetric as a whole (0 has no 180), yet 10-170 pair up
     "0-170-5deg": (replace(SMALL_GEOM, angle_end=170.0, angle_increment=5.0),
                    16, 16, 4.0, 10, 8, 17),
     "rectangular": (replace(SMALL_GEOM, angle_increment=5.0), 32, 16, 4.0, 19, 18, 0),
+    # the flips and the half turn, but no transpose: 0-90 traced
+    "rectangular-0-345-15deg": (replace(SMALL_GEOM, angle_end=345.0, angle_increment=15.0),
+                                32, 16, 4.0, 7, 17, 0),
 }
+
+
+# Largest gap between an applied view and its fresh trace, as a share of the
+# largest weight, where it is not 1e-12: fresh traces of views near 185 and
+# 275 degrees carry the rounding of their larger angles (1.6e-12 at most)
+FRESH_TRACE_TOL = {"64-0-359-1deg": 2e-12}
 
 
 class TestViewSymmetry:
     @pytest.fixture(params=sorted(SYMMETRY_SCANS))
     def scan(self, request):
         geom, width, height, pixel, *counts = SYMMETRY_SCANS[request.param]
-        return Projector(geom, width, height, pixel), counts
+        return Projector(geom, width, height, pixel), counts, request.param
 
     def test_views_equal_fresh_traces(self, scan):
-        proj, _ = scan
+        proj, _, name = scan
         rng = np.random.default_rng(25)
         for view in range(len(proj.angles_deg)):
             fresh = traced_dense(proj, view)
-            tol = 1e-12 * fresh.max()
+            tol = FRESH_TRACE_TOL.get(name, 1e-12) * fresh.max()
             npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
             f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
             npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
@@ -469,7 +504,7 @@ class TestViewSymmetry:
                                 atol=tol * proj.geom.detector_channels)
 
     def test_adjoint_identity(self, scan):
-        proj, _ = scan
+        proj, _, _ = scan
         rng = np.random.default_rng(26)
         for view in range(len(proj.angles_deg)):
             f = rng.standard_normal((proj.height, proj.width))
@@ -480,27 +515,28 @@ class TestViewSymmetry:
             assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
 
     def test_sart_matches_dense_oracle(self, scan):
-        proj, _ = scan
+        proj, _, _ = scan
         # the first mirrored, reflected and rotated view, where the scan has one
         first = {}
-        for view, (_, flip, transposed) in enumerate(proj._symmetry):
-            if flip or transposed:
-                first.setdefault((flip, transposed), view)
-        assert (True, False) in first
+        for view, (_, frame) in enumerate(proj._symmetry):
+            if any(frame):
+                first.setdefault(frame, view)
+        assert (True, False, False) in first
         for view in first.values():
             assert_sart_matches_dense_oracle(proj, view, seed=27 + view)
 
     def test_counts(self, scan):
-        proj, (traced, mirrored, reflected) = scan
+        proj, (traced, mirrored, reflected), _ = scan
         assert proj.mirrored_views == mirrored
         assert proj.reflected_views == reflected
-        sources = [source for source, _, _ in proj._symmetry]
+        sources = [source for source, _ in proj._symmetry]
         assert sorted(set(sources)) == [view for view, source in enumerate(sources)
                                         if view == source]
         assert len(set(sources)) == traced == len(sources) - mirrored - reflected
+        assert_frames_map_the_sources(proj)
 
     def test_nbytes_is_the_traced_views(self, scan):
-        proj, (traced, _, _) = scan
+        proj, (traced, _, _), _ = scan
         assert proj.nbytes == 0
         proj.forward(np.ones((proj.height, proj.width)))
         assert len(proj._views) == traced
@@ -509,12 +545,50 @@ class TestViewSymmetry:
             for m, _, r, c in proj._views.values())
 
 
+def three_map_symmetry(angles, square):
+    """The view-symmetry rule with only the X flip, the transpose and the
+    quarter turn, as it stood before the Y flip and the half and
+    three-quarter turns: (source, frame) per view."""
+    symmetry, traced = [], []
+    for j, beta in enumerate(angles):
+        for i in traced:
+            gap = lambda a, target: abs((a - target + 180.0) % 360.0 - 180.0) <= 1e-9
+            if gap(angles[i] + beta, 180.0):
+                symmetry.append((i, (True, False, False)))
+            elif square and gap(angles[i] + beta, 90.0):
+                symmetry.append((i, (False, False, True)))
+            elif square and gap(beta - angles[i], 90.0):
+                symmetry.append((i, (True, False, True)))
+            else:
+                continue
+            break
+        else:
+            traced.append(j)
+            symmetry.append((j, (False, False, False)))
+    return symmetry
+
+
+@pytest.mark.parametrize("geom, width, height, frames", [
+    (FanBeamGeometry(1088.0, 544.0, 768, 0.5, 10.0, 170.0, 1.0), 512, 512, 4),
+    (FanBeamGeometry(1088.0, 544.0, 384, 1.0, 10.0, 170.0, 4.0), 256, 256, 2),
+    (DIAGONAL_SCANS["degeneracy-64-1deg"][0], 64, 64, 4),
+    (DEGENERACY_GEOM, 64, 40, 2),
+], ids=["full", "fewview", "degeneracy-64-1deg", "degeneracy-64x40"])
+def test_scans_within_10_170_keep_their_maps(geom, width, height, frames):
+    """The maps added for scans past 180 degrees leave a 10-170 degree scan
+    as it was: the same source and frame for every view."""
+    proj = Projector(geom, width, height, 1.0)
+    assert proj._symmetry == three_map_symmetry(proj.angles_deg.tolist(),
+                                                width == height)
+    assert len({frame for _, frame in proj._symmetry}) == frames
+
+
 def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
     # cos(pi/2) is 6e-17, not 0; an inexact direction split corner-grazing
     # rays into a segment and a ~1e-14 mm sliver
     geom = replace(DEGENERACY_GEOM, angle_start=0.0, angle_end=90.0, angle_increment=90.0)
     proj = Projector(geom, 64, 64, 2.0)
-    assert proj._stored(1)[1:] == ((False, True), -1)
+    assert proj._stored(1)[1:] == ((False, False, True), -1)
     fresh = proj._trace(1)[0]
     assert fresh.data.min() > 1e-9
     npt.assert_array_equal(fresh.toarray() != 0, applied_dense(proj, 1) != 0)
@@ -607,6 +681,12 @@ ORACLE_SCANS = {
     # the central ray crosses grid corners, and rounding puts some midpoints
     # of positive-length segments just outside the grid
     "corner-45deg": (FanBeamGeometry(250.0, 180.0, 9, 1.0, 45.0, 45.0, 1.0), 31, 25, 1.0),
+    # the same past the far edges only: one midpoint at column `width`, one
+    # at row `height`, and none below 0
+    "corner-135deg": (FanBeamGeometry(250.0, 180.0, 9, 1.0, 135.0, 135.0, 1.0),
+                      25, 31, 1.0),
+    "corner-225deg": (FanBeamGeometry(250.0, 180.0, 9, 1.0, 225.0, 225.0, 1.0),
+                      31, 25, 1.0),
 }
 
 
@@ -629,7 +709,7 @@ def test_trace_equals_reference_byte_for_byte(scan):
         missed += np.count_nonzero(row_sums == 0)
     # each scan reaches the case it is here for
     assert (axis_rays > 0) == (scan in ("odd-0-90-180", "0-345-15deg"))
-    assert (dropped > 0) == (scan == "corner-45deg")
+    assert (dropped > 0) == scan.startswith("corner")
     if scan == "fan-wider-than-grid":
         assert missed > 0
 
@@ -657,12 +737,13 @@ def forward_images(height, width):
 @pytest.mark.parametrize("scan", sorted(FORWARD_SCANS))
 def test_forward_equals_stacked_views_byte_for_byte(scan):
     geom, width, height, pixel = FORWARD_SCANS[scan]
-    frames = {(flip, transposed) for _, flip, transposed in
-              Projector(geom, width, height, pixel)._symmetry}
+    frames = {frame for _, frame in Projector(geom, width, height, pixel)._symmetry}
     if scan == "transposes-only-10-80":
-        assert frames == {(False, False), (False, True)}
+        assert frames == {(False, False, False), (False, False, True)}
     if scan == "one-frame-10-40":
-        assert frames == {(False, False)}
+        assert frames == {(False, False, False)}
+    if scan == "0-345-15deg":
+        assert len(frames) == 8
     for name, image in forward_images(height, width).items():
         per_view = Projector(geom, width, height, pixel)
         expected = np.stack([per_view.forward_view(image, view)
@@ -672,5 +753,5 @@ def test_forward_equals_stacked_views_byte_for_byte(scan):
             got = proj.forward(image)
             assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
             assert got.tobytes() == expected.tobytes(), (name, state)
-        assert sorted(proj._views) == sorted({s for s, _, _ in proj._symmetry})
+        assert sorted(proj._views) == sorted({s for s, _ in proj._symmetry})
         assert proj.nbytes == per_view.nbytes

@@ -46,25 +46,44 @@ def test_run_comparison_runs_every_algorithm_on_a_120_degree_scan(tmp_path):
         "convergence_ssatv1_l3.csv", "convergence_ssatv2_l3.csv", "convergence_wtv.csv"]
 
 
+def lone_run_log(tmp_path, sets, algorithm="wtv", levels=1):
+    """`latomo run --desk` of one algorithm with the script's noise seed:
+    its convergence log, every line without its timing column."""
+    config = tmp_path / "empty.ini"
+    config.write_text("")
+    argv = ["run", str(config), "--desk"]
+    for assignment in sets + ["noise.seed=42", f"recon.algorithm={algorithm}",
+                              f"recon.levels={levels}", f"output.dir={tmp_path / 'cli'}"]:
+        argv += ["--set", assignment]
+    assert main(argv) == 0
+    return without_wall_ms(tmp_path / "cli" / f"convergence_{algorithm}.csv")
+
+
+def without_wall_ms(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].endswith(",wall_ms") and len(lines) == 4
+    return [line.rsplit(",", 1)[0] for line in lines]
+
+
 def test_run_comparison_wtv_matches_latomo_run(tmp_path):
     """The script's scene is `latomo run --desk`'s with noise seed 42: same
     --set values, same wtv convergence log but for the timing column."""
     sets = SMALL + ["noise.photons=1e5", "recon.iterations=3"]
     result = run_script(sets + [f"output.dir={tmp_path / 'script'}"], "--levels", "2")
     assert result.returncode == 0, result.stderr
-    config = tmp_path / "empty.ini"
-    config.write_text("")
-    argv = ["run", str(config), "--desk"]
-    for assignment in sets + ["noise.seed=42", f"output.dir={tmp_path / 'cli'}"]:
-        argv += ["--set", assignment]
-    assert main(argv) == 0
+    assert (without_wall_ms(tmp_path / "script" / "convergence_wtv.csv")
+            == lone_run_log(tmp_path, sets))
 
-    def without_wall_ms(directory):
-        lines = (tmp_path / directory / "convergence_wtv.csv").read_text().splitlines()
-        assert lines[0].endswith(",wall_ms") and len(lines) == 4
-        return [line.rsplit(",", 1)[0] for line in lines]
 
-    assert without_wall_ms("script") == without_wall_ms("cli")
+def test_run_comparison_ssatv2_does_not_depend_on_the_runs_before_it(tmp_path):
+    """`ssatv2 l2` runs last in the script, after `wtv` and `ssatv1 l2` in
+    the same process on the same projector; its log equals a lone
+    `latomo run` of it but for the timing column."""
+    sets = SMALL + ["noise.photons=1e5", "recon.iterations=3"]
+    result = run_script(sets + [f"output.dir={tmp_path / 'script'}"], "--levels", "2")
+    assert result.returncode == 0, result.stderr
+    assert (without_wall_ms(tmp_path / "script" / "convergence_ssatv2_l2.csv")
+            == lone_run_log(tmp_path, sets, "ssatv2", 2))
 
 
 @pytest.mark.parametrize("sets, levels, key", [

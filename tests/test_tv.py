@@ -15,6 +15,7 @@ from latomo.projector import Projector
 from latomo.ssatv1 import derivative_kernel, ssatv1_pass
 from latomo.ssatv2 import down_sampler, make_pyramid_level, ssatv2_pass
 from latomo.tv import (
+    Buffers,
     Differences,
     LineSearchParams,
     _rung,
@@ -657,6 +658,84 @@ def test_ssatv2_pass_buffer_budget():
     peak = _peak_in_images(lambda: ssatv2_pass(f, level, 5.0, 10, LineSearchParams()), f)
     assert peak <= 4.3
     npt.assert_array_equal(f, kept)
+
+
+# -- run-owned buffers ------------------------------------------------------
+
+def buffer_arrays(buffers):
+    """Every array a :class:`Buffers` holds."""
+    for made in buffers._made.values():
+        if isinstance(made, Differences):
+            yield from (made.dx, made.dy, made.sq)
+        else:
+            yield made
+
+
+def schedule_passes(f, buffers=None):
+    """An ssatv1 l5 schedule, an ssatv2 l3 schedule (coarse shapes 16, 32 and
+    64 rows) and a wtv pass, each on the last one's image: every (image,
+    accepted steps) pair in turn.  ``buffers`` goes to every call."""
+    kw = {} if buffers is None else {"buffers": buffers}
+    params, out = LineSearchParams(), []
+    for scale, steps in ((16, 2), (8, 2), (4, 2), (2, 2), (1, 2)):
+        f, accepted = ssatv1_pass(f, 5.0, scale, steps, params, 1, **kw)
+        out.append((f, accepted))
+    for scale, steps in ((4, 4), (2, 3), (1, 3)):
+        level = make_pyramid_level(f, scale, 5.0, **kw)
+        f, accepted = ssatv2_pass(f, level, 5.0, steps, params, 2, **kw)
+        out.append((f, accepted))
+    f, accepted = descent_steps(f, None, forward_diff_op(f.shape[0]), 10, params, 5.0,
+                                start=3, **kw)
+    out.append((f, accepted))
+    return out
+
+
+def test_one_set_of_buffers_serves_every_pass():
+    """Passes given one set of buffers, reused down whole schedules of all
+    three regularizers and again for a second round, return the bytes and
+    steps of passes that make their own, and never return a buffer."""
+    f, *_ = descent_case("wtv", 64)
+    buffers = Buffers()
+    for _ in range(2):
+        want = schedule_passes(f)
+        got = schedule_passes(f, buffers)
+        for (image, accepted), (expected, expected_steps) in zip(got, want):
+            assert image.tobytes() == expected.tobytes()
+            assert accepted == expected_steps
+            assert ([(t.rung, t.value, t.index) for t in accepted]
+                    == [(t.rung, t.value, t.index) for t in expected_steps])
+            assert not any(np.shares_memory(image, a) for a in buffer_arrays(buffers))
+        f = got[-1][0]
+    # one set per shape: 16, 32 and 64 rows of the sampled descents, and the
+    # fine image's ``pulled``; nothing else was made
+    shapes = {shape for _, shape in buffers._made}
+    assert shapes == {(16, 64), (32, 64), (64, 64)}
+    assert ("pulled", (16, 64)) not in buffers._made
+
+
+def test_objective_in_the_run_buffers():
+    f, *_ = descent_case("ssatv1-s2", 64)
+    yop, buffers = forward_diff_op(64), Buffers()
+    for eps_hu in (5.0, 20.0):
+        assert (reweighted_value(f, eps_hu, yop, buffers=buffers)
+                == reweighted_value(f, eps_hu, yop))
+        npt.assert_array_equal(tv_weights(f, eps_hu, yop, buffers=buffers),
+                               tv_weights(f, eps_hu, yop))
+    assert len(buffers._made) == 2  # one set of differences and the weights
+
+
+@pytest.mark.parametrize("case", ["ssatv1", "ssatv2"])
+def test_a_pass_in_warm_buffers_allocates_only_its_result(case):
+    """With the run's buffers already made, a pass allocates the image it
+    returns and nothing else image-sized."""
+    f, *_ = descent_case("wtv", 256)
+    buffers = Buffers()
+    if case == "ssatv1":
+        call = lambda: ssatv1_pass(f, 5.0, 4, 10, LineSearchParams(), buffers=buffers)
+    else:
+        call = lambda: ssatv2_pass(f, make_pyramid_level(f, 4, 5.0, buffers=buffers), 5.0,
+                                   10, LineSearchParams(), buffers=buffers)
+    assert _peak_in_images(call, f) <= 1.4
 
 
 # -- whole runs against the cold reference --------------------------------
