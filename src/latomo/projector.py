@@ -33,10 +33,10 @@ walked in order, and each is applied through the first earlier traced view
 it is related to by one of these maps (the X flip, the transpose and the
 quarter turn are tried first): the image is mapped into the traced view's
 frame and back, and the channels are reversed when the map is a
-reflection.  Only views with no such partner
-are traced and stored.  On a 10-170 degree scan in 1 degree steps, 46 of
-the 161 views are traced, 45 mirrored and 70 reflected or rotated; on a
-full 0-359 degree scan, the 46 views 0-45 are traced.
+reflection.  Only views with no such partner are traced and stored.  On a
+10-170 degree scan in 1 degree steps, 46 of the 161 views are traced, 45
+mirrored and 70 reflected or rotated; on a full 0-359 degree scan, the 46
+views 0-45 are traced.
 
 The full forward projection multiplies each traced matrix once: the image is
 laid out in each of the k frames the scan uses as the columns of one
@@ -80,8 +80,9 @@ _IDENTITY: Frame = (False, False, False)
 # relates the views it maps onto each other: beta_i + beta_j = A (mod 360)
 # for a reflection, beta_j - beta_i = A for a rotation, where the image of
 # view j is seen in the frame of view i.  The maps with a transpose hold on
-# square grids only.  The first three are tried first, so scans within
-# 0-180 degrees keep the maps they have always had.
+# square grids only.  The X flip, the transpose and the quarter turn come
+# first, so on scans such as 10-170 degrees, where the other four relate no
+# further pair, every view keeps the frame those three give it.
 _GRID_MAPS: tuple[tuple[Frame, float], ...] = (
     ((True, False, False), 180.0),  # X flip
     ((False, False, True), 90.0),   # transpose: reflection across y = x

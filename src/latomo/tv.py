@@ -338,7 +338,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
         found = pair[0].fill(x, yop, scratch=grad)
         magnitude = found.magnitude(out=grad)
         if w is None:
-            w = _reweight(magnitude, delta_mu, out=buffers.array("weights", x.shape))
+            w = _reweight(magnitude, delta_mu, out=buffers.array("weights", shape))
         return found, _weighted_sum(w, magnitude)
 
     for _ in range(steps):

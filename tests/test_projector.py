@@ -549,15 +549,17 @@ def three_map_symmetry(angles, square):
     """The view-symmetry rule with only the X flip, the transpose and the
     quarter turn, as it stood before the Y flip and the half and
     three-quarter turns: (source, frame) per view."""
+    def congruent(angle, target):
+        return abs((angle - target + 180.0) % 360.0 - 180.0) <= 1e-9
+
     symmetry, traced = [], []
     for j, beta in enumerate(angles):
         for i in traced:
-            gap = lambda a, target: abs((a - target + 180.0) % 360.0 - 180.0) <= 1e-9
-            if gap(angles[i] + beta, 180.0):
+            if congruent(angles[i] + beta, 180.0):
                 symmetry.append((i, (True, False, False)))
-            elif square and gap(angles[i] + beta, 90.0):
+            elif square and congruent(angles[i] + beta, 90.0):
                 symmetry.append((i, (False, False, True)))
-            elif square and gap(beta - angles[i], 90.0):
+            elif square and congruent(beta - angles[i], 90.0):
                 symmetry.append((i, (True, False, True)))
             else:
                 continue
