@@ -37,8 +37,11 @@ def main(argv=None) -> int:
     runs += [("ssatv1", lv) for lv in args.levels]
     runs += [("ssatv2", lv) for lv in args.levels]
     try:
+        # wtv runs its one schedule entry of recon.steps, whatever per-level
+        # budgets the scale-space runs are given
         configs = [build_experiment(load_config(sets=DEFAULT_SETS + args.set + [
-            f"recon.algorithm={algorithm}", f"recon.levels={levels}"]))
+            f"recon.algorithm={algorithm}", f"recon.levels={levels}"]
+            + (["recon.budgets="] if algorithm == "wtv" else [])))
             for algorithm, levels in runs]
         if configs[0].roi is None:
             raise ConfigError("roi.region: the comparison ranks runs by ROI RMSE")

@@ -226,15 +226,20 @@ def _get_int(cp, section, key) -> int:
     return _get(cp, section, key, _integral, "an integer")
 
 
+def _window(low: float, high: float, name: str) -> tuple[float, float]:
+    """The display window ``name``, if both ends are finite and low < high."""
+    if not (math.isfinite(low) and math.isfinite(high) and low < high):
+        raise ValueError(f"{name}: expected two finite numbers, low < high, "
+                         f"got {low:g} {high:g}")
+    return low, high
+
+
 def _get_window(cp, key) -> tuple[float, float]:
     def conv(raw):
         parts = raw.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(raw)
-        low, high = _finite(parts[0]), _finite(parts[1])
-        if not low < high:
-            raise ValueError(raw)
-        return low, high
+        return _window(float(parts[0]), float(parts[1]), key)
     return _get(cp, "output", key, conv, "two finite numbers, low < high")
 
 
@@ -440,10 +445,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
+    window = _window(*args.window, "--window")
     img = rasterize(_load_phantom(args.spec), args.width, args.height, args.pixel_size)
     write_raw_image(args.out, img)
     if args.pgm:
-        write_pgm16(args.pgm, img, tuple(args.window))
+        write_pgm16(args.pgm, img, window)
     log.info("wrote %s", args.out)
     return 0
 

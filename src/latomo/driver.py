@@ -129,8 +129,12 @@ class ReconConfig:
                 "eps_hu", f"eps_hu must be > 0 and finite, got {self.eps_hu}")
         if self.iterations < 1:
             raise ParameterError("iterations", "iterations must be >= 1")
-        if self.algorithm != "sart" and self.tv_steps < 1:
+        if self.algorithm == "sart":
+            return
+        if self.tv_steps < 1:
             raise ParameterError("tv_steps", f"tv_steps must be >= 1 for {self.algorithm}")
+        if self.algorithm == "wtv" and self.levels != 1:
+            raise ParameterError("levels", f"levels must be 1 for wtv, got {self.levels}")
         if self.algorithm in ("ssatv1", "ssatv2"):
             angles = self.geometry.view_angles_deg()
             mid = (angles[0] + angles[-1]) / 2.0
@@ -142,13 +146,13 @@ class ReconConfig:
                     f"angular range {angles[0]:g}..{angles[-1]:g} degrees is "
                     f"centred on {mid:g}"
                 )
-            coarsest = self.schedule().entries[0][0]
-            if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
-                raise ParameterError(
-                    "levels",
-                    f"levels = {self.levels} down-samples height = {self.height} "
-                    f"to fewer than 2 rows at scale {coarsest}"
-                )
+        coarsest = self.schedule().entries[0][0]
+        if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
+            raise ParameterError(
+                "levels",
+                f"levels = {self.levels} down-samples height = {self.height} "
+                f"to fewer than 2 rows at scale {coarsest}"
+            )
 
     def schedule(self) -> ScaleSchedule:
         return make_scale_schedule(self.levels, self.tv_steps, self.budgets)
@@ -218,19 +222,17 @@ def _regularization_phase(f: np.ndarray, config: ReconConfig, rungs: dict[int, i
     if config.algorithm == "sart":
         return f, ()
     params = config.line_search
-    entries = (((1, config.tv_steps),) if config.algorithm == "wtv"
-               else config.schedule().entries)
     sizes_all: list[float] = []
-    for entry, (scale, steps) in enumerate(entries):
+    for entry, (scale, steps) in enumerate(config.schedule().entries):
         start = rungs.get(entry, 0)
         if config.algorithm == "wtv":
-            f, sizes = descent_steps(f, None, forward_diff_op(f.shape[0]), steps, params,
+            f, sizes = descent_steps(f, forward_diff_op(f.shape[0]), steps, params,
                                      config.eps_hu, start=start, buffers=buffers)
         elif config.algorithm == "ssatv1":
             f, sizes = ssatv1_pass(f, config.eps_hu, scale, steps, params, start=start,
                                    buffers=buffers)
-        else:  # ssatv2: a fresh level per scale, weights seeded from the current image
-            level = make_pyramid_level(f, scale, config.eps_hu, buffers=buffers)
+        else:  # ssatv2: a fresh level per scale
+            level = make_pyramid_level(f, scale, config.eps_hu)
             f, sizes = ssatv2_pass(f, level, config.eps_hu, steps, params, start=start,
                                    buffers=buffers)
         if sizes:

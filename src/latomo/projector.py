@@ -8,9 +8,10 @@ float64 weights, int32 indices), together with its row and column sums;
 the forward projection is ``A @ x`` and the back-projection ``A.T @ r``
 through the CSC transpose kept with the matrix, which shares its arrays, so
 the pair passes adjoint tests to rounding error.  That costs 12 bytes per
-traversed (ray, pixel) pair.  The column sums are kept as SART divisors:
-a pixel no ray crosses stores 1.0 in place of its zero sum, because its
-back-projected numerator is exactly 0.0 and 0.0 / 1.0 leaves it so.
+traversed (ray, pixel) pair.  Row and column sums are kept as SART divisors
+by one rule, a zero sum stored as 1.0: a ray that misses the grid has an
+empty row, so its residual is never read, and a pixel no ray crosses has a
+back-projected numerator of exactly 0.0, which 0.0 / 1.0 leaves so.
 
 Tracing: all rays of a view are traced at once.  Each ray's parameters at
 the X and Y grid planes, then its entry and exit, fill one row of a single
@@ -124,7 +125,7 @@ class Projector:
         self.x_lo = -self.width * self.pixel_size / 2.0
         self.y_lo = -self.height * self.pixel_size / 2.0
         self.angles_deg = geom.view_angles_deg()
-        # traced view -> its (matrix, transpose, row_sums, col_divisors)
+        # traced view -> its (matrix, transpose, row_divisors, col_divisors)
         self._views: dict[int, tuple[csr_array, csc_array, np.ndarray, np.ndarray]] = {}
         # view -> (traced view it is applied through, frame map into it)
         self._symmetry: list[tuple[int, Frame]] = []
@@ -182,7 +183,7 @@ class Projector:
     def _trace(self, view_index: int) -> tuple[csr_array, csc_array, np.ndarray, np.ndarray]:
         """One view's weights as a (channels, pixels) CSR matrix, with its
         CSC transpose (sharing the matrix's arrays), its row sums (channels,)
-        and its column sums (height, width) with every zero replaced by 1.0.
+        and column sums (height, width), every zero replaced by 1.0.
 
         Rows are filled straight from the ray-major traversal: a pixel that
         a ray enters twice (split at its entry or exit point) keeps two
@@ -291,15 +292,16 @@ class Projector:
         n_pix = self.width * self.height
         matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
         transpose = matrix.T
-        row_sums = matrix @ np.ones(n_pix)
+        row_divisors = matrix @ np.ones(n_pix)
         col_divisors = (transpose @ np.ones(n_chan)).reshape(self.height, self.width)
+        row_divisors[row_divisors == 0.0] = 1.0
         col_divisors[col_divisors == 0.0] = 1.0
-        return matrix, transpose, row_sums, col_divisors
+        return matrix, transpose, row_divisors, col_divisors
 
     def _stored(self, view_index: int) -> tuple[tuple[csr_array, csc_array, np.ndarray,
                                                       np.ndarray],
                                                 Frame, int]:
-        """The (matrix, transpose, row_sums, col_divisors) of the traced view
+        """The (matrix, transpose, row_divisors, col_divisors) of the traced view
         that applies ``view_index``; the frame map into it (see
         ``_to_traced``); and the channel step, -1 when the map is a
         reflection and the channels run reversed, else 1."""
@@ -345,16 +347,17 @@ class Projector:
         transposes share the matrices' arrays)."""
         return sum(
             matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-            + row_sums.nbytes + col_divisors.nbytes
-            for matrix, _, row_sums, col_divisors in self._views.values()
+            + row_divisors.nbytes + col_divisors.nbytes
+            for matrix, _, row_divisors, col_divisors in self._views.values()
         )
 
     # -- operator ----------------------------------------------------------
 
     def view_sums(self, view_index: int) -> ViewSums:
-        (_, transpose, row_sums, _), frame, step = self._stored(view_index)
-        # recomputed: the stored divisors hold 1.0 where the sum is zero
-        col_sums = (transpose @ np.ones(transpose.shape[1])).reshape(
+        (matrix, transpose, _, _), frame, step = self._stored(view_index)
+        # recomputed: the stored divisors hold 1.0 where a sum is zero
+        row_sums = matrix @ np.ones(matrix.shape[1])
+        col_sums = (transpose @ np.ones(matrix.shape[0])).reshape(
             self.height, self.width)
         return ViewSums(row_sums[::step].copy(),
                         self._from_traced(col_sums, *frame).copy())
@@ -404,13 +407,12 @@ class Projector:
         """One relaxed SART step for a single view; 0/0 ratios count as 0."""
         if not 0 < relaxation <= 1:
             raise ValueError("relaxation must be in (0, 1]")
-        (matrix, transpose, row_sums, col_divisors), frame, step = self._stored(view_index)
+        (matrix, transpose, row_divisors, col_divisors), frame, step = self._stored(
+            view_index)
         image = self._to_traced(self._image(values), *frame)
         residual = p_view[::step] - matrix @ image.ravel()
-        scaled = np.divide(
-            residual, row_sums, out=np.zeros_like(residual), where=row_sums > 0,
-        )
-        update = (transpose @ scaled).reshape(self.height, self.width)
+        residual /= row_divisors
+        update = (transpose @ residual).reshape(self.height, self.width)
         update /= col_divisors
         update *= relaxation
         update += image

@@ -52,5 +52,4 @@ def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
         raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     yop = row_operator(*derivative_kernel(s), f.shape[0])
-    return descent_steps(f, None, yop, steps, params, eps_hu, start=start,
-                         buffers=buffers)
+    return descent_steps(f, yop, steps, params, eps_hu, start=start, buffers=buffers)

@@ -20,10 +20,10 @@ from .tv import (
     Buffers,
     LineSearchParams,
     RowOperator,
+    _eps_mu,
     descent_steps,
     forward_diff_op,
     row_operator,
-    tv_weights,
 )
 
 
@@ -38,32 +38,21 @@ def down_sampler(height: int, s: int) -> RowOperator:
 
 @dataclass(frozen=True)
 class PyramidLevel:
-    """One anisotropic scale: its down-sampler and the coarse-grid weights,
-    frozen for the pass at that scale."""
+    """One anisotropic scale and its down-sampler."""
 
     scale: int
     sampler: RowOperator
-    weights: np.ndarray
 
     def __post_init__(self):
         if self.sampler.shape[0] < 2:
             raise ValueError("down-sampled height must be >= 2")
-        if self.weights.shape[0] != self.sampler.shape[0]:
-            raise ValueError("weights do not match the down-sampled grid")
 
 
-def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float, *,
-                       buffers: Buffers | None = None) -> PyramidLevel:
-    """Level with weights taken from the down-sampled current image.  Given
-    ``buffers``, the down-sampled image and the weights are its ``sampled``
-    and ``weights`` buffers of the coarse shape, so the weights hold until
-    the next level of that shape is made."""
-    f = np.asarray(f, dtype=np.float64)
-    down = down_sampler(f.shape[0], s)
-    buffers = Buffers() if buffers is None else buffers
-    f_d = down.apply(f, out=buffers.array("sampled", (down.shape[0], f.shape[1])))
-    w_d = tv_weights(f_d, eps_hu, forward_diff_op(f_d.shape[0]), buffers=buffers)
-    return PyramidLevel(s, down, w_d)
+def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
+    """The scale-``s`` level for ``f``'s height.  It only checks ``eps_hu``:
+    the pass takes its weights from its own first down-sampled image."""
+    _eps_mu(eps_hu)
+    return PyramidLevel(s, down_sampler(np.shape(f)[0], s))
 
 
 def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
@@ -72,10 +61,10 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
     """``steps`` coarse-grid descent iterations pulled back to the fine grid.
 
     Each iteration: down-sample, take the weighted-TV gradient with the
-    level's frozen weights, find the step on the coarse image, then update
-    the fine image along the adjoint-up-sampled direction.  The first line
-    search starts at rung ``start``.  The descent works in ``buffers`` when
-    given.
+    weights of the pass's first down-sampled image, find the step on the
+    coarse image, then update the fine image along the adjoint-up-sampled
+    direction.  The first line search starts at rung ``start``.  The descent
+    works in ``buffers`` when given.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -86,6 +75,5 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
             f"image height {f.shape[0]} != level height {down.shape[1]} "
             f"(scale {level.scale})"
         )
-    return descent_steps(f, level.weights, forward_diff_op(down.shape[0]),
-                         steps, params, eps_hu, down if level.scale > 1 else None,
-                         start, buffers=buffers)
+    return descent_steps(f, forward_diff_op(down.shape[0]), steps, params, eps_hu,
+                         down if level.scale > 1 else None, start, buffers=buffers)

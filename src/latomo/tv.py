@@ -268,16 +268,16 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
     return out
 
 
-def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
-                  steps: int, params: LineSearchParams, eps_hu: float,
-                  down: RowOperator | None = None,
-                  start: int = 0, *,
+def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
+                  params: LineSearchParams, eps_hu: float,
+                  down: RowOperator | None = None, start: int = 0, *,
                   buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
     """Runs ``steps`` normalized-gradient descent steps with frozen weights;
     directions come from the smoothed gradient, acceptance from the plain
     TV value.  Returns the image and the accepted :class:`Step` sizes, each
-    carrying its rung.  ``w`` None takes the weights from the first iterate,
-    as :func:`tv_weights` does.
+    carrying its rung.  The weights are those :func:`tv_weights` gives the
+    first (sampled) iterate, taken from its first difference pass, so each
+    pass is one step of the reweighting.
 
     The smoothing floor of the gradient-magnitude denominators is the
     reweighting floor ``eps_hu`` of :func:`tv_weights`.  Magnitudes below
@@ -297,9 +297,9 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
     value) and its gradient.  Without a down-sampler an accepted trial's
     give the next gradient, and its value starts the next search.  The
     descent never writes ``f``.  It works in the gradient (which also holds
-    each trial image), the direction, the weights when it computes them,
-    and two sets of differences, all taken from ``buffers``: the run's, or
-    its own when none is given.  Trials alternate between the two sets; the
+    each trial image), the direction, the weights and two sets of
+    differences, all taken from ``buffers``: the run's, or its own when none
+    is given.  Trials alternate between the two sets; the
     accepted trial is the last or the second-last one its search evaluated,
     so its set is intact.  A trial's image is not kept: the accepted one is
     recomputed as the iterate, a new array unless no step is taken.
@@ -322,6 +322,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
     accepted: list[float] = []
     rung, owned = start, False
     diffs, f0 = None, None  # the current iterate's, while still known
+    w = None  # the first iterate's weights, frozen for every step
 
     def objective(trial: np.ndarray) -> float:
         # the n-th trial of a search (from 0; the search is always given
@@ -332,7 +333,7 @@ def descent_steps(f: np.ndarray, w: np.ndarray | None, yop: RowOperator,
 
     def sample() -> tuple[Differences, float]:
         """Differences and TV value of the current (sampled) iterate; the
-        weights too, the first time, when the caller gave none."""
+        weights too, the first time."""
         nonlocal w
         x = f if down is None else down.apply(f, out=sampled)
         found = pair[0].fill(x, yop, scratch=grad)

@@ -202,6 +202,7 @@ def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
 # name; several keys differ from the parameter names the types use.
 NAMED_ERRORS = [
     (["recon.algorithm=ssatv1", "recon.levels=7"], "recon.levels"),
+    (["recon.levels=3"], "recon.levels"),
     (["recon.algorithm=ssatv2", "recon.levels=5", "grid.height=16"], "recon.levels"),
     (["recon.steps=0"], "recon.steps"),
     (["recon.ls_beta=1.5"], "recon.ls_beta"),
@@ -455,6 +456,19 @@ class TestMain:
         assert main(argv) == 1
         assert "pixel_size must be > 0 and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("window", [("100", "0"), ("5", "5"), ("nan", "5"),
+                                        ("0", "inf")])
+    def test_phantom_subcommand_bad_window_writes_nothing(self, tmp_path, capsys, window):
+        # an inverted or nan window once failed only at the preview, after
+        # the raw image was written
+        out, pgm = tmp_path / "x.raw", tmp_path / "x.pgm"
+        argv = ["phantom", "builtin", "--out", str(out), "--width", "8", "--height", "8",
+                "--pgm", str(pgm), "--window", *window]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: --window: expected two finite numbers, low < high" in err
+        assert not out.exists() and not pgm.exists()
 
     def test_phantom_subcommand_missing_spec_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.spec"

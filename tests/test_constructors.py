@@ -56,7 +56,7 @@ line_searches = st.builds(
 @st.composite
 def recon_configs(draw):
     algorithm = draw(st.sampled_from(ALGORITHMS))
-    levels = draw(st.integers(1, 5))
+    levels = 1 if algorithm == "wtv" else draw(st.integers(1, 5))
     budgets = draw(st.none() | st.lists(st.integers(1, 6), min_size=levels,
                                         max_size=levels).map(tuple))
     if budgets is not None:
@@ -176,7 +176,7 @@ def test_recon_config_rejects_any_bad_field_by_name(cfg, name, data):
     # levels and tv_steps bound only the algorithms that use them; a value
     # that is not an integer is rejected everywhere
     if isinstance(value, int) and not isinstance(value, bool):
-        assume(name != "levels" or cfg.algorithm in ("ssatv1", "ssatv2"))
+        assume(name != "levels" or cfg.algorithm != "sart")
         assume(name != "tv_steps" or cfg.algorithm != "sart")
     with pytest.raises(ParameterError) as info:
         rebuild(ReconConfig, cfg, **{name: value})

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latomo import driver, tv
-from latomo.core import FanBeamGeometry, Sinogram
+from latomo.core import FanBeamGeometry, ParameterError, Sinogram
 from latomo.driver import (
     CSV_HEADER,
     ConvergenceLog,
@@ -141,6 +141,17 @@ class TestReconConfig:
             config("ssatv2", levels=2, tv_steps=9)
         with pytest.raises(ValueError, match="l_max"):
             config("ssatv2", levels=6)
+        with pytest.raises(ValueError, match="budgets"):
+            config("wtv", budgets=(5, 5))
+        assert config("wtv", tv_steps=7, budgets=(7,)).schedule().entries == ((1, 7),)
+
+    @pytest.mark.parametrize("levels, budgets", [(2, None), (4, (1, 2, 3, 4))])
+    def test_wtv_takes_one_level(self, levels, budgets):
+        # once accepted and ignored: wtv ran one entry of tv_steps regardless
+        with pytest.raises(ParameterError, match="levels must be 1 for wtv") as info:
+            config("wtv", levels=levels, budgets=budgets)
+        assert info.value.name == "levels"
+        assert config("wtv").schedule().entries == ((1, 10),)
 
     def test_ssatv2_pyramid_height_checked(self):
         # the coarsest scale must keep at least 2 rows: ceil(16 / 16) = 1
@@ -192,7 +203,7 @@ class TestRunReconstruction:
         ("sart", set()),
         ("wtv", {"descent_steps"}),
         ("ssatv1", {"ssatv1_pass"}),
-        ("ssatv2", {"make_pyramid_level", "ssatv2_pass"}),
+        ("ssatv2", {"ssatv2_pass"}),
     ])
     def test_one_set_of_buffers_per_run(self, small_scene, algorithm, calls, monkeypatch):
         """Every pass, level and logged objective of a run works in the same
@@ -209,8 +220,7 @@ class TestRunReconstruction:
                 return result
             monkeypatch.setattr(driver, name, call)
 
-        for name in ("descent_steps", "ssatv1_pass", "ssatv2_pass", "make_pyramid_level",
-                     "reweighted_value"):
+        for name in ("descent_steps", "ssatv1_pass", "ssatv2_pass", "reweighted_value"):
             spy(name)
         cfg = config(algorithm, iterations=3, levels=1 if algorithm == "wtv" else 3)
         runs = []

@@ -27,7 +27,9 @@ def dense_view_matrix(proj, view_index):
 
 
 def assert_sart_matches_dense_oracle(proj, view, seed):
-    """One SART step equals its dense-matrix evaluation on a random image."""
+    """One SART step equals its dense-matrix evaluation on a random image.
+    A channel whose ray misses the grid gets nonzero data, which the step
+    must ignore."""
     rng = np.random.default_rng(seed)
     f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
     channels = proj.geom.detector_channels
@@ -37,6 +39,8 @@ def assert_sart_matches_dense_oracle(proj, view, seed):
     mat = dense_view_matrix(proj, view)
     row_sums = mat.sum(axis=1)
     col_sums = mat.sum(axis=0)
+    missed = row_sums == 0
+    p_view[missed] = rng.uniform(0.5, 1.0, np.count_nonzero(missed))
     residual = p_view - mat @ f.ravel()
     scaled = np.divide(residual, row_sums, out=np.zeros(channels), where=row_sums > 0)
     numerator = mat.T @ scaled
@@ -190,6 +194,23 @@ class TestSartUpdate:
 
     def test_matches_dense_oracle(self):
         assert_sart_matches_dense_oracle(small_projector(8, 8, 16.0), 5, seed=16)
+
+    def test_missed_rays_change_nothing(self):
+        # an 8 mm grid: 14 of view 0's 16 rays pass beside it, and 8 of its
+        # 16 pixels lie on no ray
+        proj = Projector(SMALL_GEOM, 4, 4, 2.0)
+        sums = proj.view_sums(0)
+        missed, uncovered = sums.row_sums == 0, sums.col_sums == 0
+        assert np.count_nonzero(missed) == 14 and np.count_nonzero(uncovered) == 8
+        assert_sart_matches_dense_oracle(proj, 0, seed=21)
+        f = np.random.default_rng(21).uniform(0.0, 0.04, (4, 4))
+        p_view = 1.1 * proj.forward_view(f, 0)
+        p_view[missed] = np.linspace(0.5, 1.0, 14)
+        updated = proj.sart_update_view(f, p_view, 0, 0.8)
+        npt.assert_array_equal(updated[uncovered], f[uncovered])
+        # data on the missed rays alone moves no pixel
+        p_view[~missed] = proj.forward_view(f, 0)[~missed]
+        npt.assert_array_equal(proj.sart_update_view(f, p_view, 0, 0.8), f)
 
     def test_relaxation_bounds(self):
         proj = small_projector()
@@ -433,11 +454,11 @@ class TestDiagonalReflection:
         assert proj.reflected_views == 0
         proj.forward(np.ones((height, width)))
         assert len(proj._views) == geom.num_views - proj.mirrored_views
-        for view, (matrix, _, row_sums, col_divisors) in proj._views.items():
+        for view, (matrix, _, row_divisors, col_divisors) in proj._views.items():
             fresh, _, fresh_rows, fresh_cols = proj._trace(view)
             for name in ("data", "indices", "indptr"):
                 npt.assert_array_equal(getattr(matrix, name), getattr(fresh, name))
-            npt.assert_array_equal(row_sums, fresh_rows)
+            npt.assert_array_equal(row_divisors, fresh_rows)
             npt.assert_array_equal(col_divisors, fresh_cols)
 
     def test_nbytes_counts_the_reflected_views(self):
@@ -599,9 +620,9 @@ def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
 def reference_trace(proj, view_index):
     """The trace as first written, one full-width array per step, kept as
     an oracle: the five arrays ``Projector._trace`` must reproduce byte for
-    byte (data, indices, indptr, row sums, column divisors), then the number
-    of rays with a zero direction component and of positive-length segments
-    whose midpoint falls outside the grid."""
+    byte (data, indices, indptr, row divisors, column divisors), then the
+    number of rays with a zero direction component and of positive-length
+    segments whose midpoint falls outside the grid."""
     geom = proj.geom
     beta = np.radians(proj.angles_deg[view_index])
     direction = np.array([np.cos(beta), np.sin(beta)])
@@ -660,10 +681,11 @@ def reference_trace(proj, view_index):
     indptr[1:] = np.cumsum(np.count_nonzero(valid, axis=1))
     n_pix = proj.width * proj.height
     matrix = csr_array((weights, pixels, indptr), shape=(n_chan, n_pix))
-    row_sums = matrix @ np.ones(n_pix)
+    row_divisors = matrix @ np.ones(n_pix)
+    row_divisors[row_divisors == 0.0] = 1.0
     col_divisors = (matrix.T @ np.ones(n_chan)).reshape(proj.height, proj.width)
     col_divisors[col_divisors == 0.0] = 1.0
-    arrays = (matrix.data, matrix.indices, matrix.indptr, row_sums, col_divisors)
+    arrays = (matrix.data, matrix.indices, matrix.indptr, row_divisors, col_divisors)
     dropped = np.count_nonzero((seg > 0) & hit[:, None] & ~in_grid)
     return arrays, np.count_nonzero(vec == 0), dropped
 
@@ -699,16 +721,16 @@ def test_trace_equals_reference_byte_for_byte(scan):
     axis_rays = dropped = missed = 0
     for view in range(geom.num_views):
         expected, zeros, outside = reference_trace(proj, view)
-        matrix, transpose, row_sums, col_divisors = proj._trace(view)
-        got = (matrix.data, matrix.indices, matrix.indptr, row_sums, col_divisors)
-        for name, a, b in zip(("data", "indices", "indptr", "row sums",
+        matrix, transpose, row_divisors, col_divisors = proj._trace(view)
+        got = (matrix.data, matrix.indices, matrix.indptr, row_divisors, col_divisors)
+        for name, a, b in zip(("data", "indices", "indptr", "row divisors",
                                "column divisors"), got, expected):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (view, name)
             assert a.tobytes() == b.tobytes(), (view, name)
         assert transpose.shape == (width * height, geom.detector_channels)
         axis_rays += zeros
         dropped += outside
-        missed += np.count_nonzero(row_sums == 0)
+        missed += np.count_nonzero(np.diff(matrix.indptr) == 0)
     # each scan reaches the case it is here for
     assert (axis_rays > 0) == (scan in ("odd-0-90-180", "0-345-15deg"))
     assert (dropped > 0) == scan.startswith("corner")

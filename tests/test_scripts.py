@@ -110,3 +110,14 @@ def test_run_comparison_labels_the_iteration_it_reads(tmp_path):
     lines = result.stdout.splitlines()
     assert sum("at iter 5 " in line for line in lines) == 3  # wtv, ssatv1, ssatv2
     assert any(line.strip().startswith("ssatv1 l=2 at iter 5:") for line in lines)
+
+
+def test_run_comparison_wtv_takes_no_per_level_budgets(tmp_path):
+    """Budgets given for the scale-space runs' levels leave wtv its one
+    schedule entry of recon.steps, as a lone `latomo run` of it has."""
+    sets = SMALL + ["recon.iterations=3", "recon.steps=4"]
+    out = tmp_path / "script"
+    result = run_script(sets + ["recon.budgets=1 1 2", f"output.dir={out}"], "--levels", "3")
+    assert result.returncode == 0, result.stderr
+    assert (without_wall_ms(out / "convergence_wtv.csv")
+            == lone_run_log(tmp_path, sets))

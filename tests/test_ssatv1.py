@@ -216,7 +216,7 @@ class TestSsatv1Gradient:
 def wtv_pass(f, steps, params):
     """The driver's wtv phase at 5 HU: weights from ``f``, then the loop."""
     yop1 = forward_diff_op(f.shape[0])
-    out, _ = descent_steps(f, tv_weights(f, 5.0, yop1), yop1, steps, params, 5.0)
+    out, _ = descent_steps(f, yop1, steps, params, 5.0)
     return out
 
 

@@ -48,8 +48,7 @@ def iso_weights(f, eps_hu=5.0):
 
 def wtv_pass(f, eps_hu, steps, params):
     """The driver's wtv phase: weights from ``f``, then the descent loop."""
-    out, _ = descent_steps(f, iso_weights(f, eps_hu), forward_diff_op(f.shape[0]),
-                           steps, params, eps_hu)
+    out, _ = descent_steps(f, forward_diff_op(f.shape[0]), steps, params, eps_hu)
     return out
 
 
@@ -172,7 +171,7 @@ def _level_pass(f, eps_hu):
 EPS_ENTRY_POINTS = {
     "tv_weights": lambda f, eps: tv_weights(f, eps, forward_diff_op(f.shape[0])),
     "descent_steps": lambda f, eps: descent_steps(
-        f, iso_weights(f), forward_diff_op(f.shape[0]), 1, LineSearchParams(), eps),
+        f, forward_diff_op(f.shape[0]), 1, LineSearchParams(), eps),
     "ssatv1_pass": lambda f, eps: ssatv1_pass(f, eps, 2, 1, LineSearchParams()),
     "make_pyramid_level": lambda f, eps: make_pyramid_level(f, 2, eps),
     "ssatv2_pass": _level_pass,
@@ -328,14 +327,11 @@ class TestWtvRegularize:
         rng = np.random.default_rng(29)
         f = rng.uniform(0.0, 0.04, (10, 10))
         w = iso_weights(f)
-        yop = forward_diff_op(10)
-        params = LineSearchParams()
-        previous = iso_value(f, w)
-        for _ in range(10):
-            f, _ = descent_steps(f, w, yop, 1, params, 5.0)
-            current = iso_value(f, w)
-            assert current <= previous
-            previous = current
+        out, steps = descent_steps(f, forward_diff_op(10), 10, LineSearchParams(), 5.0)
+        assert len(steps) == 10
+        values = [iso_value(f, w)] + [step.value for step in steps]
+        assert all(b <= a for a, b in zip(values, values[1:])), values
+        assert steps[-1].value == iso_value(out, w)
 
     def test_denoises_step_edge(self):
         rng = np.random.default_rng(30)
@@ -390,8 +386,9 @@ def descent_case(name, n=32):
     if variant == "ssatv1":
         yop = row_operator(*derivative_kernel(int(scale)), n)
         return f, tv_weights(f, 5.0, yop), yop, None
-    level = make_pyramid_level(f, int(scale), 5.0)
-    return f, level.weights, forward_diff_op(level.sampler.shape[0]), level.sampler
+    down = down_sampler(n, int(scale))
+    yop = forward_diff_op(down.shape[0])
+    return f, tv_weights(down.apply(f), 5.0, yop), yop, down
 
 
 DESCENT_CASES = ["wtv", "ssatv1-s2", "ssatv1-s8", "ssatv2-s2", "ssatv2-s4"]
@@ -498,7 +495,7 @@ class TestWarmStartedSearch:
         # with one shrink allowed, every case ends on a failed search
         assert (len(want_steps) < 20) == (max_shrinks == 1)
         for start in range(max_shrinks + 1):  # every rung a pass may carry
-            got, got_steps = descent_steps(f, w, yop, 20, params, 5.0, down, start)
+            got, got_steps = descent_steps(f, yop, 20, params, 5.0, down, start)
             assert got_steps == want_steps, start
             npt.assert_array_equal(got, want, err_msg=f"start {start}")
 
@@ -506,7 +503,7 @@ class TestWarmStartedSearch:
     def test_weights_taken_from_the_first_iterate(self, case):
         f, w, yop, down = descent_case(case)
         params = LineSearchParams()
-        got = descent_steps(f, None, yop, 20, params, 5.0, down, 3)
+        got = descent_steps(f, yop, 20, params, 5.0, down, 3)
         want = cold_descent(f, w, yop, 20, params, DELTA_MU, down)
         assert got[1] == want[1]
         npt.assert_array_equal(got[0], want[0])
@@ -514,7 +511,7 @@ class TestWarmStartedSearch:
     def test_a_descent_step_grows_two_rungs(self):
         f, w, yop, down = descent_case("ssatv2-s4")
         params = LineSearchParams()
-        _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down)
+        _, accepted = descent_steps(f, yop, 20, params, 5.0, down)
         rungs = [t.rung for t in accepted]
         assert any(a - b >= 2 for a, b in zip(rungs, rungs[1:])), rungs
 
@@ -542,7 +539,7 @@ class TestWarmStartedSearch:
         params = LineSearchParams()
         for carried in (0, 3, 9):
             per_search.clear()
-            _, accepted = descent_steps(f, w, yop, 20, params, 5.0, down, carried)
+            _, accepted = descent_steps(f, yop, 20, params, 5.0, down, carried)
             assert len(per_search) == len(accepted) == 20
             start = carried
             for t, evaluations in zip(accepted, per_search):
@@ -558,7 +555,7 @@ class TestWarmStartedSearch:
         for case in DESCENT_CASES:
             f, w, yop, down = descent_case(case)
             kept = f.copy()
-            out, accepted = descent_steps(f, w, yop, 5, LineSearchParams(), 5.0, down)
+            out, accepted = descent_steps(f, yop, 5, LineSearchParams(), 5.0, down)
             assert accepted and not np.shares_memory(out, f)
             npt.assert_array_equal(f, kept)
 
@@ -681,10 +678,10 @@ def schedule_passes(f, buffers=None):
         f, accepted = ssatv1_pass(f, 5.0, scale, steps, params, 1, **kw)
         out.append((f, accepted))
     for scale, steps in ((4, 4), (2, 3), (1, 3)):
-        level = make_pyramid_level(f, scale, 5.0, **kw)
+        level = make_pyramid_level(f, scale, 5.0)
         f, accepted = ssatv2_pass(f, level, 5.0, steps, params, 2, **kw)
         out.append((f, accepted))
-    f, accepted = descent_steps(f, None, forward_diff_op(f.shape[0]), 10, params, 5.0,
+    f, accepted = descent_steps(f, forward_diff_op(f.shape[0]), 10, params, 5.0,
                                 start=3, **kw)
     out.append((f, accepted))
     return out
@@ -733,8 +730,8 @@ def test_a_pass_in_warm_buffers_allocates_only_its_result(case):
     if case == "ssatv1":
         call = lambda: ssatv1_pass(f, 5.0, 4, 10, LineSearchParams(), buffers=buffers)
     else:
-        call = lambda: ssatv2_pass(f, make_pyramid_level(f, 4, 5.0, buffers=buffers), 5.0,
-                                   10, LineSearchParams(), buffers=buffers)
+        call = lambda: ssatv2_pass(f, make_pyramid_level(f, 4, 5.0), 5.0, 10,
+                                   LineSearchParams(), buffers=buffers)
     assert _peak_in_images(call, f) <= 1.4
 
 
@@ -767,9 +764,10 @@ def reference_run(config, sino, projector):
         f = np.maximum(f, 0.0)
         for scale, steps in entries:
             if config.algorithm == "ssatv2":
-                level = make_pyramid_level(f, scale, config.eps_hu)
-                w, down = level.weights, level.sampler if scale > 1 else None
-                yop = forward_diff_op(level.sampler.shape[0])
+                sampler = down_sampler(f.shape[0], scale)
+                yop = forward_diff_op(sampler.shape[0])
+                w = tv_weights(sampler.apply(f), config.eps_hu, yop)
+                down = sampler if scale > 1 else None
             else:
                 yop, down = row_operator(*derivative_kernel(scale), f.shape[0]), None
                 w = tv_weights(f, config.eps_hu, yop)
