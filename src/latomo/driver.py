@@ -129,12 +129,16 @@ class ReconConfig:
                 "eps_hu", f"eps_hu must be > 0 and finite, got {self.eps_hu}")
         if self.iterations < 1:
             raise ParameterError("iterations", "iterations must be >= 1")
-        if self.algorithm == "sart":
-            return
         if self.tv_steps < 1:
             raise ParameterError("tv_steps", f"tv_steps must be >= 1 for {self.algorithm}")
-        if self.algorithm == "wtv" and self.levels != 1:
-            raise ParameterError("levels", f"levels must be 1 for wtv, got {self.levels}")
+        if self.algorithm in ("sart", "wtv") and self.levels != 1:
+            raise ParameterError(
+                "levels", f"levels must be 1 for {self.algorithm}, got {self.levels}")
+        if self.algorithm == "sart":
+            if self.budgets is not None:
+                raise ParameterError(
+                    "budgets", f"budgets must be unset for sart, got {self.budgets}")
+            return
         if self.algorithm in ("ssatv1", "ssatv2"):
             angles = self.geometry.view_angles_deg()
             mid = (angles[0] + angles[-1]) / 2.0

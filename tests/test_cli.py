@@ -203,6 +203,9 @@ def test_bad_value_rejected_before_any_write(tmp_path, capsys, assignment, key):
 NAMED_ERRORS = [
     (["recon.algorithm=ssatv1", "recon.levels=7"], "recon.levels"),
     (["recon.levels=3"], "recon.levels"),
+    (["recon.algorithm=sart", "recon.levels=4"], "recon.levels"),
+    (["recon.algorithm=sart", "recon.budgets=10"], "recon.budgets"),
+    (["recon.algorithm=sart", "recon.steps=0"], "recon.steps"),
     (["recon.algorithm=ssatv2", "recon.levels=5", "grid.height=16"], "recon.levels"),
     (["recon.steps=0"], "recon.steps"),
     (["recon.ls_beta=1.5"], "recon.ls_beta"),

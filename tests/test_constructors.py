@@ -5,7 +5,7 @@ import math
 from dataclasses import asdict
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latomo.core import FanBeamGeometry, ParameterError
@@ -56,9 +56,10 @@ line_searches = st.builds(
 @st.composite
 def recon_configs(draw):
     algorithm = draw(st.sampled_from(ALGORITHMS))
-    levels = 1 if algorithm == "wtv" else draw(st.integers(1, 5))
-    budgets = draw(st.none() | st.lists(st.integers(1, 6), min_size=levels,
-                                        max_size=levels).map(tuple))
+    levels = 1 if algorithm in ("sart", "wtv") else draw(st.integers(1, 5))
+    budgets = None if algorithm == "sart" else draw(
+        st.none() | st.lists(st.integers(1, 6), min_size=levels,
+                             max_size=levels).map(tuple))
     if budgets is not None:
         tv_steps = sum(budgets)
     elif levels == 1:
@@ -173,11 +174,6 @@ def test_valid_recon_config_constructs(cfg):
 @given(recon_configs(), st.sampled_from(sorted(RECON_BAD)), st.data())
 def test_recon_config_rejects_any_bad_field_by_name(cfg, name, data):
     value = data.draw(st.sampled_from(NON_FINITE + RECON_BAD[name]))
-    # levels and tv_steps bound only the algorithms that use them; a value
-    # that is not an integer is rejected everywhere
-    if isinstance(value, int) and not isinstance(value, bool):
-        assume(name != "levels" or cfg.algorithm != "sart")
-        assume(name != "tv_steps" or cfg.algorithm != "sart")
     with pytest.raises(ParameterError) as info:
         rebuild(ReconConfig, cfg, **{name: value})
     assert info.value.name in RECON_NAMES.get(name, {name})

@@ -126,13 +126,27 @@ class TestReconConfig:
             with pytest.raises(ValueError, match="pixel_size must be > 0"):
                 replace(config("sart"), pixel_size=pixel_size)
 
-    @pytest.mark.parametrize("algorithm", ["wtv", "ssatv1", "ssatv2"])
+    @pytest.mark.parametrize("algorithm", ["wtv", "ssatv1", "ssatv2", "sart"])
     @pytest.mark.parametrize("steps", [0, -3])
     def test_tv_steps_checked(self, algorithm, steps):
-        # a zero or negative budget used to run wtv as plain SART
-        with pytest.raises(ValueError, match="tv_steps"):
+        # a zero or negative budget used to run wtv as plain SART, and sart
+        # once accepted it as a field it ignores
+        with pytest.raises(ParameterError, match="tv_steps must be >= 1") as info:
             config(algorithm, tv_steps=steps)
-        assert config("sart", tv_steps=steps).tv_steps == steps
+        assert info.value.name == "tv_steps"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("levels", 4, "levels must be 1 for sart, got 4"),
+        ("levels", 2, "levels must be 1 for sart, got 2"),
+        ("budgets", (10,), r"budgets must be unset for sart, got \(10,\)"),
+        ("budgets", (1, 2, 3, 4), "budgets must be unset for sart"),
+    ])
+    def test_sart_takes_no_schedule(self, field, value, message):
+        # once accepted and ignored: sart ran no schedule whatever was set
+        with pytest.raises(ParameterError, match=message) as info:
+            config("sart", **{field: value})
+        assert info.value.name == field
+        assert config("sart").schedule().entries == ((1, 10),)
 
     def test_schedule_checked_at_construction(self):
         with pytest.raises(ValueError, match="budgets"):
@@ -190,7 +204,7 @@ class TestRunReconstruction:
     def test_deterministic(self, small_scene):
         truth, projector, sino, roi = small_scene
         for algorithm in ("sart", "wtv", "ssatv1", "ssatv2"):
-            cfg = config(algorithm, iterations=3, levels=1 if algorithm == "wtv" else 3)
+            cfg = config(algorithm, iterations=3, levels=1 if algorithm in ("sart", "wtv") else 3)
             img_a, log_a = run_reconstruction(cfg, sino, projector=projector)
             img_b, log_b = run_reconstruction(cfg, sino, projector=projector)
             npt.assert_array_equal(img_a.data, img_b.data, err_msg=algorithm)
@@ -222,7 +236,7 @@ class TestRunReconstruction:
 
         for name in ("descent_steps", "ssatv1_pass", "ssatv2_pass", "reweighted_value"):
             spy(name)
-        cfg = config(algorithm, iterations=3, levels=1 if algorithm == "wtv" else 3)
+        cfg = config(algorithm, iterations=3, levels=1 if algorithm in ("sart", "wtv") else 3)
         runs = []
         for _ in range(2):
             seen.clear()

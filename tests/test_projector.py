@@ -1,10 +1,17 @@
+import multiprocessing
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from latomo import projector as projector_module
 from latomo.core import FanBeamGeometry
 from latomo.projector import Projector
 
@@ -51,6 +58,32 @@ def assert_sart_matches_dense_oracle(proj, view, seed):
 
     got = proj.sart_update_view(f, p_view, view, lam)
     npt.assert_allclose(got.ravel(), expected, rtol=1e-10, atol=1e-15)
+
+
+def ray_major(matrix):
+    """A traced view's (2 x channels, pixels) matrix with each ray's two
+    runs joined back into one row per ray, in traversal order."""
+    channels = matrix.shape[0] // 2
+    runs = [slice(matrix.indptr[r], matrix.indptr[r + 1]) for r in range(2 * channels)]
+    rows = [(runs[c], runs[channels + c]) for c in range(channels)]
+    data = np.concatenate([matrix.data[s] for row in rows for s in row])
+    indices = np.concatenate([matrix.indices[s] for row in rows for s in row])
+    indptr = np.zeros(channels + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum([sum(s.stop - s.start for s in row) for row in rows])
+    return csr_array((data, indices, indptr), shape=(channels, matrix.shape[1]))
+
+
+def assert_runs_in_bands(proj, view):
+    """Each run half's entries lie in the image rows its band names, and the
+    two bands split the rows at ``height // 2`` (or one takes them all)."""
+    matrix, bands = view.matrix, view.bands
+    channels = matrix.shape[0] // 2
+    middle, height = proj.height // 2, proj.height
+    assert sorted(bands) in ([(0, middle), (middle, height)], [(0, height), (height, height)])
+    for half, (top, bottom) in enumerate(bands):
+        entries = slice(matrix.indptr[half * channels], matrix.indptr[(half + 1) * channels])
+        rows = matrix.indices[entries] // proj.width
+        assert np.all((rows >= top) & (rows < bottom))
 
 
 def clip_segment_length(src, dst, x0, x1, y0, y1):
@@ -217,6 +250,15 @@ class TestSartUpdate:
         with pytest.raises(ValueError):
             proj.sart_update_view(np.zeros((32, 32)), np.zeros(16), 0, 0.0)
 
+    @pytest.mark.parametrize("p_view", [np.array([1.0]), np.zeros(15), np.zeros(17),
+                                        np.zeros((16, 1))], ids=["one", "15", "17", "column"])
+    def test_view_data_length_checked(self, p_view):
+        # one value used to broadcast over all 16 channels and give an update
+        proj = small_projector()
+        with pytest.raises(ValueError, match=r"shape \(16,\)"):
+            proj.sart_update_view(np.zeros((32, 32)), p_view, 0, 0.8)
+        assert proj.nbytes == 0  # rejected before the view is traced
+
     def test_deterministic_and_cache_independent(self):
         rng = np.random.default_rng(17)
         f = rng.uniform(0.0, 0.03, (32, 32))
@@ -245,7 +287,7 @@ class TestViewSums:
         assert np.count_nonzero(sums.row_sums == 0) == 14
         (matrix, _, _, _), frame, _ = proj._stored(0)
         assert frame == (False, False, False)
-        entries_per_ray = np.diff(matrix.indptr)
+        entries_per_ray = np.diff(ray_major(matrix).indptr)
         npt.assert_array_equal(entries_per_ray == 0, sums.row_sums == 0)
 
 
@@ -277,16 +319,15 @@ class TestGridWiderThanFan:
         npt.assert_allclose(sums.col_sums.ravel(), dense.sum(axis=0), rtol=1e-12)
         assert np.all(proj._stored(view)[0][3] > 0)
 
-    def test_transpose_shares_the_matrix_arrays(self):
+    def test_nbytes_counts_both_run_halves(self):
+        # the split layout adds 4 x channels bytes per view: one more indptr half
         proj = self.projector()
         proj.forward(np.ones((16, 16)))
         channels, pixels = SMALL_GEOM.detector_channels, 16 * 16
         expected = 0
-        for matrix, transpose, _, _ in proj._views.values():
-            assert transpose.shape == (pixels, channels)
-            for name in ("data", "indices", "indptr"):
-                assert np.shares_memory(getattr(transpose, name), getattr(matrix, name))
-            expected += 12 * matrix.nnz + 4 * (channels + 1) + 8 * (channels + pixels)
+        for matrix, _, _, _ in proj._views.values():
+            assert matrix.shape == (2 * channels, pixels)
+            expected += 12 * matrix.nnz + 4 * (2 * channels + 1) + 8 * (channels + pixels)
         assert proj.nbytes == expected
 
 
@@ -301,7 +342,7 @@ MIRRORED_SCANS = {
 
 def traced_dense(proj, view_index):
     """A view's matrix traced afresh, never through a symmetry partner."""
-    return proj._trace(view_index)[0].toarray()
+    return ray_major(proj._trace(view_index).matrix).toarray()
 
 
 def applied_dense(proj, view_index):
@@ -612,7 +653,7 @@ def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
     geom = replace(DEGENERACY_GEOM, angle_start=0.0, angle_end=90.0, angle_increment=90.0)
     proj = Projector(geom, 64, 64, 2.0)
     assert proj._stored(1)[1:] == ((False, False, True), -1)
-    fresh = proj._trace(1)[0]
+    fresh = ray_major(proj._trace(1).matrix)
     assert fresh.data.min() > 1e-9
     npt.assert_array_equal(fresh.toarray() != 0, applied_dense(proj, 1) != 0)
 
@@ -721,13 +762,16 @@ def test_trace_equals_reference_byte_for_byte(scan):
     axis_rays = dropped = missed = 0
     for view in range(geom.num_views):
         expected, zeros, outside = reference_trace(proj, view)
-        matrix, transpose, row_divisors, col_divisors = proj._trace(view)
-        got = (matrix.data, matrix.indices, matrix.indptr, row_divisors, col_divisors)
+        traced = proj._trace(view)
+        assert traced.matrix.shape == (2 * geom.detector_channels, width * height)
+        assert_runs_in_bands(proj, traced)
+        matrix = ray_major(traced.matrix)
+        got = (matrix.data, matrix.indices, matrix.indptr, traced.row_divisors,
+               traced.col_divisors)
         for name, a, b in zip(("data", "indices", "indptr", "row divisors",
                                "column divisors"), got, expected):
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (view, name)
             assert a.tobytes() == b.tobytes(), (view, name)
-        assert transpose.shape == (width * height, geom.detector_channels)
         axis_rays += zeros
         dropped += outside
         missed += np.count_nonzero(np.diff(matrix.indptr) == 0)
@@ -779,3 +823,251 @@ def test_forward_equals_stacked_views_byte_for_byte(scan):
             assert got.tobytes() == expected.tobytes(), (name, state)
         assert sorted(proj._views) == sorted({s for s, _ in proj._symmetry})
         assert proj.nbytes == per_view.nbytes
+
+
+def reference_sart(proj, values, p_view, view, relaxation):
+    """One SART step through the view's ray-major matrix, as scipy's own
+    products evaluate it: the order of operations the split layout keeps."""
+    traced = proj._trace(view)
+    matrix = ray_major(traced.matrix)
+    residual = p_view - matrix @ values.ravel()
+    residual /= traced.row_divisors
+    update = (matrix.T @ residual).reshape(proj.height, proj.width)
+    update /= traced.col_divisors
+    update *= relaxation
+    update += values
+    return update
+
+
+@st.composite
+def fuzz_scans(draw):
+    """A small scan of one to three views on a grid of any shape: odd
+    heights, rectangular grids, fans wider than the grid, sources below the
+    grid (190-350 degrees) and exact axis views."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 25))
+    pixel = draw(st.sampled_from([0.5, 1.0, 2.5, 4.0]))
+    start = draw(st.sampled_from([0.0, 90.0, 180.0, 270.0])
+                 | st.floats(0.0, 360.0, allow_nan=False).map(lambda a: round(a, 3)))
+    increment = draw(st.sampled_from([90.0, 45.0, 37.5, 7.0]))
+    views = draw(st.integers(1, 3))
+    geom = FanBeamGeometry(draw(st.sampled_from([160.0, 400.0])), 80.0,
+                           draw(st.integers(1, 40)), draw(st.sampled_from([0.5, 1.0, 3.0])),
+                           start, start + increment * (views - 1), increment)
+    return Projector(geom, width, height, pixel)
+
+
+_shared_worker: list = []
+
+
+def shared_worker():
+    """One worker thread for every test that splits, whatever the CPU count."""
+    if not _shared_worker:
+        _shared_worker.append(projector_module._Worker())
+    return _shared_worker[0]
+
+
+@contextmanager
+def split_everything():
+    """Every product and trace split between this thread and a worker,
+    whatever the CPU count and size."""
+    saved = projector_module._worker, projector_module._MIN_SPLIT_ENTRIES
+    projector_module._worker, projector_module._MIN_SPLIT_ENTRIES = shared_worker(), 0
+    try:
+        yield
+    finally:
+        projector_module._worker, projector_module._MIN_SPLIT_ENTRIES = saved
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(fuzz_scans(), st.integers(0, 2 ** 32 - 1))
+def test_split_layout_fuzz(proj, seed):
+    """Every traced view of a random scan keeps the reference trace byte for
+    byte with its runs in their bands, traced on one core or two, and its
+    SART step, ray sums and back-projection keep the bits of the ray-major
+    products."""
+    rng = np.random.default_rng(seed)
+    channels = proj.geom.detector_channels
+    for view in range(len(proj.angles_deg)):
+        if proj._symmetry[view][0] != view:
+            continue
+        expected, _, _ = reference_trace(proj, view)
+        traced = proj._trace(view)
+        assert_runs_in_bands(proj, traced)
+        with split_everything():
+            split = proj._trace(view)
+        assert split.bands == traced.bands
+        for name in ("data", "indices", "indptr"):
+            assert (getattr(split.matrix, name).tobytes()
+                    == getattr(traced.matrix, name).tobytes())
+        matrix = ray_major(traced.matrix)
+        got = (matrix.data, matrix.indices, matrix.indptr, traced.row_divisors,
+               traced.col_divisors)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
+        p_view = rng.uniform(0.0, 2.0, channels)
+        reference = reference_sart(proj, f, p_view, view, 0.8).tobytes()
+        assert proj.sart_update_view(f, p_view, view, 0.8).tobytes() == reference
+        with split_everything():
+            assert proj.sart_update_view(f, p_view, view, 0.8).tobytes() == reference
+        assert proj.forward_view(f, view).tobytes() == (matrix @ f.ravel()).tobytes()
+        assert (proj.backproject_view(p_view, view).ravel().tobytes()
+                == (matrix.T @ p_view).tobytes())
+
+
+def test_row_partition_keeps_each_ray_in_order():
+    # runs of two rays, split at row 5: ray 0 runs 9, 5 | 3, 1 (high, then
+    # low) and ray 1 runs 3 | 7 (low, then high), so neither band order
+    # holds for both and each ray keeps one run
+    rows = np.array([9.0, 5.0, 3.0, 3.0, 1.0, 7.0])
+    ends = np.array([2, 3, 5, 6])
+    order, new_ends, first_high = projector_module._row_partition(rows >= 5, ends, True)
+    assert first_high is None
+    npt.assert_array_equal(rows[order], [9.0, 5.0, 3.0, 1.0, 3.0, 7.0])
+    npt.assert_array_equal(new_ends, [4, 6, 6, 6])
+    # without ray 1's second run the high-first order holds: ray 1's 3 moves
+    # to the second half
+    order, new_ends, first_high = projector_module._row_partition(
+        rows[:5] >= 5, np.array([2, 3, 5, 5]), True)
+    assert first_high is True
+    npt.assert_array_equal(rows[:5][order], [9.0, 5.0, 3.0, 1.0, 3.0])
+    npt.assert_array_equal(new_ends, [2, 2, 4, 5])
+    # rays that run 1, 3 | 5, 9 and 3 | -, low then high, take the
+    # low-first order when the high-first one fails
+    rows = np.array([1.0, 3.0, 3.0, 5.0, 9.0])
+    order, new_ends, first_high = projector_module._row_partition(
+        rows >= 5, np.array([2, 3, 5, 5]), True)
+    assert first_high is False
+    npt.assert_array_equal(rows[order], rows)
+    npt.assert_array_equal(new_ends, [2, 3, 5, 5])
+
+
+def test_exact_axis_views_split_by_rows():
+    # the sources of 0 and 180 degrees lie on an even grid's middle boundary:
+    # every ray leaves it up or down, so the views take the exact row split
+    geom = replace(SMALL_GEOM, angle_increment=90.0)
+    proj = Projector(geom, 32, 32, 4.0)
+    for view in (0, 2):
+        traced = proj._trace(view)
+        assert_runs_in_bands(proj, traced)
+        assert traced.bands == ((16, 32), (0, 16))
+        halves = np.diff(traced.matrix.indptr[::geom.detector_channels])
+        assert np.all(halves > 0)
+
+
+# -- the second core ------------------------------------------------------
+
+SWEEP_SCAN = (replace(SMALL_GEOM, angle_end=350.0, angle_increment=10.0), 32, 24, 4.0)
+
+
+def sweep(proj, sino, iterations=2):
+    f = np.zeros((proj.height, proj.width))
+    for _ in range(iterations):
+        for view in range(len(proj.angles_deg)):
+            f = proj.sart_update_view(f, sino[view], view, 0.8)
+    return np.ascontiguousarray(f)
+
+
+def use_worker(monkeypatch):
+    """Every product and trace split, whatever the CPU count and size."""
+    monkeypatch.setattr(projector_module, "_worker", shared_worker())
+    monkeypatch.setattr(projector_module, "_MIN_SPLIT_ENTRIES", 0)
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    use_worker(monkeypatch)
+
+
+@pytest.fixture
+def sweep_scene():
+    geom, width, height, pixel = SWEEP_SCAN
+    truth = np.random.default_rng(29).uniform(0.0, 0.04, (height, width))
+    sino = Projector(geom, width, height, pixel).forward(truth)
+    return truth, sino
+
+
+def run_scene(truth, sino):
+    proj = Projector(*SWEEP_SCAN)
+    return proj.forward(truth), sweep(proj, sino)
+
+
+def test_threaded_and_inline_give_the_same_bits(monkeypatch, sweep_scene):
+    truth, sino = sweep_scene
+    monkeypatch.setattr(projector_module, "_worker", False)
+    inline = run_scene(truth, sino)
+    use_worker(monkeypatch)
+    threaded = run_scene(truth, sino)
+    for a, b in zip(inline, threaded):
+        assert a.tobytes() == b.tobytes()
+    assert inline[0].tobytes() == sino.tobytes()
+
+
+def test_threads_sweeping_their_own_projectors(threaded, sweep_scene):
+    # three callers and the worker on a 2-core box, switching the GIL often:
+    # a half written into another caller's arrays would change the bits
+    truth, sino = sweep_scene
+    serial = run_scene(truth, sino)
+    results = [None] * 3
+
+    def run(slot):
+        results[slot] = run_scene(truth, sino)
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert result is not None
+        for a, b in zip(result, serial):
+            assert a.tobytes() == b.tobytes()
+
+
+def _sweep_in_child(sino, expected, exits):
+    # without the fork handler the child would hand its halves to the
+    # parent's worker, a thread it does not have, and wait forever
+    exits.put(sweep(Projector(*SWEEP_SCAN), sino).tobytes() == expected)
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_worker(threaded, sweep_scene):
+    _, sino = sweep_scene
+    expected = sweep(Projector(*SWEEP_SCAN), sino).tobytes()  # the worker runs
+    context = multiprocessing.get_context("fork")
+    exits = context.Queue()
+    child = context.Process(target=_sweep_in_child, args=(sino, expected, exits))
+    child.start()
+    try:
+        assert exits.get(timeout=120) is True
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+
+
+def test_worker_exception_is_raised_not_hung(threaded, monkeypatch, sweep_scene):
+    _, sino = sweep_scene
+    proj = Projector(*SWEEP_SCAN)
+    expected = proj.sart_update_view(np.zeros((24, 32)), sino[3], 3, 0.8)
+    kernel = projector_module.csc_matvec
+
+    def fails_on_the_worker(*args):
+        if threading.current_thread().name == "latomo-projector":
+            raise RuntimeError("worker half failed")
+        return kernel(*args)
+
+    monkeypatch.setattr(projector_module, "csc_matvec", fails_on_the_worker)
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        proj.sart_update_view(np.zeros((24, 32)), sino[3], 3, 0.8)
+    monkeypatch.setattr(projector_module, "csc_matvec", kernel)
+    # the worker lives on
+    got = proj.sart_update_view(np.zeros((24, 32)), sino[3], 3, 0.8)
+    assert got.tobytes() == expected.tobytes()
