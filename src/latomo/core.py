@@ -186,6 +186,11 @@ class RoiRect:
     y1: int
 
     def __post_init__(self):
+        for name in ("x0", "y0", "x1", "y1"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ParameterError(name, f"ROI corner {name} must be an integer, "
+                                           f"got {value!r}")
         if self.x0 < 0 or self.y0 < 0 or self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError("invalid ROI rectangle")
 

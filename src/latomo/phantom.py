@@ -21,6 +21,10 @@ log = logging.getLogger(__name__)
 
 AIR_HU = -1000.0
 
+# The largest mean numpy's Poisson sampler draws from (POISSON_LAM_MAX in
+# numpy/random/_common.pyx); a larger one raises "lam value too large".
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 def _check_finite(primitive, kind: str):
     """Rejects a NaN or infinite field, which would drop the primitive from
@@ -71,10 +75,11 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.incident_photons > 0:
+        if not 0 < self.incident_photons <= _POISSON_MEAN_MAX:
             raise ParameterError(
                 "incident_photons",
-                f"incident_photons must be > 0, got {self.incident_photons}")
+                f"incident_photons must be > 0 and at most {_POISSON_MEAN_MAX:.6g}, "
+                f"the largest Poisson mean numpy draws from, got {self.incident_photons}")
         if (isinstance(self.rng_seed, bool)
                 or not isinstance(self.rng_seed, numbers.Integral)
                 or self.rng_seed < 0):

@@ -60,10 +60,10 @@ class RowOperator:
     exact adjoint including the boundary bookkeeping; with a stride > 1 it is
     the adjoint up-sampler.  ``shape`` is (output rows, input rows).
 
-    ``apply`` and ``apply_t`` write into ``out`` when it is given: a
-    C-contiguous float64 buffer of the output's shape, distinct from the
-    input.  The product runs scipy's own kernel on the zeroed buffer, so its
-    bits are those of the allocating ``mat @ f``.
+    ``apply`` and ``apply_t`` take a 2-D input and write into ``out`` when
+    it is given: a C-contiguous float64 buffer of the output's shape,
+    distinct from the input; else into a new one.  The product runs scipy's
+    own kernel on the zeroed buffer, so its bits are those of ``mat @ f``.
     """
 
     def __init__(self, taps, anchor: int, height: int, stride: int = 1):
@@ -87,14 +87,16 @@ class RowOperator:
 
 
 def _product(mat: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        return mat @ x
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if (x.shape[0] != mat.shape[1] or out.shape != (mat.shape[0], x.shape[1])
-            or out.dtype != np.float64 or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{(mat.shape[0], x.shape[1])} for an input of shape "
+    if x.ndim != 2 or x.shape[0] != mat.shape[1]:
+        raise ValueError(f"input must be 2-D with {mat.shape[1]} rows, got shape "
                          f"{x.shape} (operator {mat.shape})")
+    shape = (mat.shape[0], x.shape[1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{shape} for an input of shape {x.shape} (operator {mat.shape})")
     out.fill(0.0)
     _csr_matvecs(*mat.shape, x.shape[1], mat.indptr, mat.indices, mat.data,
                  x.ravel(), out.ravel())

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 The desk-scale reconstruction fixtures (criteria 5-7, marked ``desk``)
-dominate the runtime at roughly 15-25 minutes total; run them with
+dominate the runtime: 4.5-5 minutes on a shared 2-core Xeon box; run
+them with
 
     pytest tests/test_acceptance.py -v -s
 
@@ -12,7 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.core import FanBeamGeometry, MU_PER_HU, Sinogram
+from latomo.core import FanBeamGeometry, Sinogram
 from latomo.driver import ReconConfig, run_reconstruction
 from latomo.phantom import (
     NoiseSpec,
@@ -32,13 +33,13 @@ from latomo.tv import (
     tv_weights,
 )
 
+from oracles import DELTA_MU, central_fd
+
 DESK_SIZE = 256
 DESK_PIXEL = 1.0
 DESK_ITERATIONS = 200
 NOISE_PHOTONS = 5e6
 NOISE_SEED = 42
-# gradient smoothing floor tied to the default 5 HU reweighting floor
-DELTA_MU = MU_PER_HU * 5.0
 
 
 def ok(message):
@@ -109,17 +110,6 @@ class TestCriterion1Operators:
 # ---------------------------------------------------------------------------
 # criterion 2: gradient suite
 # ---------------------------------------------------------------------------
-
-def central_fd(objective, f, step=1e-7):
-    out = np.zeros_like(f)
-    for idx in np.ndindex(f.shape):
-        fp = f.copy()
-        fp[idx] += step
-        fm = f.copy()
-        fm[idx] -= step
-        out[idx] = (objective(fp) - objective(fm)) / (2 * step)
-    return out
-
 
 class TestCriterion2Gradients:
     def test_wtv_gradient(self):

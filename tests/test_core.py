@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from latomo.core import (
     FanBeamGeometry,
     ImageGrid,
-    MU_PER_HU,
+    ParameterError,
     RoiRect,
     Sinogram,
     hu_to_mu,
@@ -158,6 +158,16 @@ class TestTypes:
     def test_roi_rect_ordering(self):
         with pytest.raises(ValueError):
             RoiRect(3, 0, 2, 1)
+
+    @pytest.mark.parametrize("corner", [0.5, True, float("nan")], ids=repr)
+    @pytest.mark.parametrize("name", ["x0", "y0", "x1", "y1"])
+    def test_roi_rect_corners_are_integers(self, name, corner):
+        # a float corner once failed as a slice index in the first
+        # iteration's metrics, after a full SART sweep
+        corners = {"x0": 0, "y0": 0, "x1": 3, "y1": 3, name: corner}
+        with pytest.raises(ParameterError, match=f"corner {name} must be an integer") as info:
+            RoiRect(**corners)
+        assert info.value.name == name
 
 
 class TestRawFormat:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.core import ImageGrid, Sinogram, hu_to_mu, mu_to_hu
+from latomo import phantom as phantom_module
+from latomo.core import ImageGrid, ParameterError, Sinogram, hu_to_mu, mu_to_hu
 from latomo.phantom import (
     AIR_HU,
     Bar,
@@ -263,6 +266,24 @@ class TestPoissonNoise:
             noisy = add_poisson_noise(_flat_sinogram(1.0, 40000), NoiseSpec(photons, 5))
             variances.append(noisy.data.var())
         assert variances[0] > variances[1] > variances[2]
+
+    @pytest.mark.parametrize("photons", [math.inf, 1e300, 9.3e18], ids=repr)
+    def test_rejects_photon_counts_numpy_cannot_draw(self, photons):
+        # once constructed and failed in rng.poisson, after the trace
+        with pytest.raises(ParameterError, match="incident_photons") as info:
+            NoiseSpec(photons)
+        assert info.value.name == "incident_photons"
+
+    def test_largest_photon_count_draws(self):
+        # the bound is numpy's own: it draws from the bound, not from the
+        # next float above it
+        largest = phantom_module._POISSON_MEAN_MAX
+        rng = np.random.default_rng(0)
+        assert rng.poisson(largest) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(largest, np.inf))
+        noisy = add_poisson_noise(_flat_sinogram(0.0, 4), NoiseSpec(largest))
+        assert np.all(np.isfinite(noisy.data))
 
     def test_rejects_negative_line_integrals(self):
         with pytest.raises(ValueError):

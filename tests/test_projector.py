@@ -60,6 +60,19 @@ def assert_sart_matches_dense_oracle(proj, view, seed):
     npt.assert_allclose(got.ravel(), expected, rtol=1e-10, atol=1e-15)
 
 
+def assert_adjoint_identity(proj, views, seed):
+    """<A f, q> = <f, A^T q> to 1e-12 of |A f| |q| on each of ``views``,
+    for a random image and random view data."""
+    rng = np.random.default_rng(seed)
+    for view in views:
+        f = rng.standard_normal((proj.height, proj.width))
+        q = rng.standard_normal(proj.geom.detector_channels)
+        af = proj.forward_view(f, view)
+        atq = proj.backproject_view(q, view)
+        gap = abs(float(af @ q) - float((f * atq).sum()))
+        assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
+
+
 def ray_major(matrix):
     """A traced view's (2 x channels, pixels) matrix with each ray's two
     runs joined back into one row per ray, in traversal order."""
@@ -163,18 +176,8 @@ class TestBackProject:
         npt.assert_array_equal(out, 0.0)
 
     def test_adjoint_identity_twenty_trials(self):
-        proj = small_projector()
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            view = int(rng.integers(0, SMALL_GEOM.num_views))
-            f = rng.standard_normal((32, 32))
-            q = rng.standard_normal(16)
-            af = proj.forward_view(f, view)
-            atq = proj.backproject_view(q, view)
-            lhs = float(af @ q)
-            rhs = float((f * atq).sum())
-            denom = np.linalg.norm(af) * np.linalg.norm(q)
-            assert abs(lhs - rhs) / denom < 1e-5
+        views = np.random.default_rng(13).integers(0, SMALL_GEOM.num_views, 20)
+        assert_adjoint_identity(small_projector(), views.tolist(), seed=13)
 
     def test_matches_dense_transpose(self):
         proj = small_projector(8, 8, 16.0)
@@ -320,24 +323,12 @@ class TestGridWiderThanFan:
         assert np.all(proj._stored(view)[0][3] > 0)
 
     def test_nbytes_counts_both_run_halves(self):
-        # the split layout adds 4 x channels bytes per view: one more indptr half
         proj = self.projector()
-        proj.forward(np.ones((16, 16)))
-        channels, pixels = SMALL_GEOM.detector_channels, 16 * 16
-        expected = 0
-        for matrix, _, _, _ in proj._views.values():
-            assert matrix.shape == (2 * channels, pixels)
-            expected += 12 * matrix.nnz + 4 * (2 * channels + 1) + 8 * (channels + pixels)
-        assert proj.nbytes == expected
+        assert_stores_the_traced_views(
+            proj, SMALL_GEOM.num_views - proj.mirrored_views - proj.reflected_views)
 
 
 DEGENERACY_GEOM = FanBeamGeometry(400.0, 200.0, 96, 1.6, 10.0, 170.0, 4.0)
-
-# (geometry, width, height, pixel size): the two symmetric scans
-MIRRORED_SCANS = {
-    "small-0-180": (SMALL_GEOM, 32, 32, 4.0),
-    "degeneracy-64": (DEGENERACY_GEOM, 64, 64, 2.0),
-}
 
 
 def traced_dense(proj, view_index):
@@ -351,76 +342,6 @@ def applied_dense(proj, view_index):
     channels = proj.geom.detector_channels
     return np.stack([proj.backproject_view(np.eye(channels)[c], view_index).ravel()
                      for c in range(channels)])
-
-
-class TestMirrorSharing:
-    @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
-    def test_mirrored_views_equal_fresh_traces(self, scan):
-        geom, width, height, pixel = MIRRORED_SCANS[scan]
-        proj = Projector(geom, width, height, pixel)
-        views = geom.num_views
-        assert proj.mirrored_views == views // 2
-        rng = np.random.default_rng(18)
-        for view in range(views // 2 + views % 2, views):
-            assert proj._stored(view)[1] == (True, False, False)
-            fresh = traced_dense(proj, view)
-            tol = 1e-9 * fresh.max()
-            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
-            f = rng.uniform(0.0, 0.04, (height, width))
-            npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
-                                rtol=1e-9, atol=tol)
-            sums = proj.view_sums(view)
-            npt.assert_allclose(sums.row_sums, fresh.sum(axis=1), rtol=0,
-                                atol=tol * width)
-            npt.assert_allclose(sums.col_sums.ravel(), fresh.sum(axis=0), rtol=0,
-                                atol=tol * geom.detector_channels)
-
-    def test_adjoint_identity_on_mirrored_views(self):
-        proj = small_projector()
-        rng = np.random.default_rng(19)
-        for view in range(8, SMALL_GEOM.num_views):
-            f = rng.standard_normal((32, 32))
-            q = rng.standard_normal(16)
-            af = proj.forward_view(f, view)
-            atq = proj.backproject_view(q, view)
-            gap = abs(float(af @ q) - float((f * atq).sum()))
-            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
-
-    def test_mirrored_sart_matches_dense_oracle(self):
-        proj = small_projector(8, 8, 16.0)
-        assert proj._stored(10)[1] == (True, False, False)
-        assert_sart_matches_dense_oracle(proj, 10, seed=20)
-
-    @pytest.mark.parametrize("scan", sorted(MIRRORED_SCANS))
-    def test_symmetric_scan_stores_half_the_views(self, scan):
-        geom, width, height, pixel = MIRRORED_SCANS[scan]
-        proj = Projector(geom, width, height, pixel)
-        assert proj.nbytes == 0
-        proj.forward(np.ones((height, width)))
-        assert len(proj._views) == -(-geom.num_views // 2)
-        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                     + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
-        assert proj.nbytes == stored
-
-
-# (geometry, width, height, pixel size): square grids with views beta and
-# 90 - beta
-DIAGONAL_SCANS = {
-    "degeneracy-64-1deg": (replace(DEGENERACY_GEOM, angle_increment=1.0), 64, 64, 2.0),
-    "small-0-180-5deg": (replace(SMALL_GEOM, angle_increment=5.0), 32, 32, 4.0),
-    # 0 and 45 traced: 90, 405 and 450 reflect 0, 45 and 0 across y = x;
-    # 270 turns 0 by 270; 135 and 180 flip 45 and 0 in X, 315 and 360 flip
-    # 45 and 0 in Y, and 225 turns 45 by 180
-    "small-0-450-45deg": (replace(SMALL_GEOM, angle_end=450.0, angle_increment=45.0),
-                          16, 16, 4.0),
-}
-
-
-def transposed_views(proj):
-    """(view, traced view it is applied through) for every view applied with
-    a transpose."""
-    return [(view, source) for view, (source, frame)
-            in enumerate(proj._symmetry) if frame[2]]
 
 
 def mapped_direction(frame, beta_deg):
@@ -448,72 +369,9 @@ def assert_frames_map_the_sources(proj):
             assert not frame[2]
 
 
-class TestDiagonalReflection:
-    @pytest.mark.parametrize("scan, traced, reflected", [
-        ("degeneracy-64-1deg", 46, 70),  # 10-55 traced
-        ("small-0-180-5deg", 10, 17),    # 0-45 traced
-        ("small-0-450-45deg", 2, 4),     # 0 and 45 traced
-    ])
-    def test_reflected_views_equal_fresh_traces(self, scan, traced, reflected):
-        geom, width, height, pixel = DIAGONAL_SCANS[scan]
-        proj = Projector(geom, width, height, pixel)
-        assert proj.reflected_views == reflected
-        assert geom.num_views - proj.mirrored_views - reflected == traced
-        assert_frames_map_the_sources(proj)
-        for view, source in transposed_views(proj):
-            fresh = traced_dense(proj, view)
-            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0,
-                                atol=1e-12 * fresh.max())
-            npt.assert_array_equal(proj.view_sums(view).row_sums,
-                                   proj._views[source][2][::proj._stored(view)[2]])
-
-    def test_adjoint_identity_on_reflected_views(self):
-        geom, width, height, pixel = DIAGONAL_SCANS["small-0-180-5deg"]
-        proj = Projector(geom, width, height, pixel)
-        rng = np.random.default_rng(23)
-        for view, _ in transposed_views(proj):
-            f = rng.standard_normal((height, width))
-            q = rng.standard_normal(geom.detector_channels)
-            af = proj.forward_view(f, view)
-            atq = proj.backproject_view(q, view)
-            gap = abs(float(af @ q) - float((f * atq).sum()))
-            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
-
-    @pytest.mark.parametrize("view", [12, 18])  # 60 from 30 degrees, 90 from 0
-    def test_reflected_sart_matches_dense_oracle(self, view):
-        geom = DIAGONAL_SCANS["small-0-180-5deg"][0]
-        proj = Projector(geom, 8, 8, 16.0)
-        assert proj._stored(view)[1] == (False, False, True)
-        assert_sart_matches_dense_oracle(proj, view, seed=24 + view)
-
-    @pytest.mark.parametrize("geom, width, height, pixel", [
-        (DIAGONAL_SCANS["small-0-180-5deg"][0], 32, 16, 4.0),
-        (DEGENERACY_GEOM, 64, 64, 2.0),
-    ], ids=["non-square", "no-diagonal-partners"])
-    def test_every_unmirrored_view_traced(self, geom, width, height, pixel):
-        proj = Projector(geom, width, height, pixel)
-        assert proj.reflected_views == 0
-        proj.forward(np.ones((height, width)))
-        assert len(proj._views) == geom.num_views - proj.mirrored_views
-        for view, (matrix, _, row_divisors, col_divisors) in proj._views.items():
-            fresh, _, fresh_rows, fresh_cols = proj._trace(view)
-            for name in ("data", "indices", "indptr"):
-                npt.assert_array_equal(getattr(matrix, name), getattr(fresh, name))
-            npt.assert_array_equal(row_divisors, fresh_rows)
-            npt.assert_array_equal(col_divisors, fresh_cols)
-
-    def test_nbytes_counts_the_reflected_views(self):
-        geom, width, height, pixel = DIAGONAL_SCANS["degeneracy-64-1deg"]
-        proj = Projector(geom, width, height, pixel)
-        proj.forward(np.ones((height, width)))
-        # reflected views store nothing of their own
-        assert len(proj._views) == (geom.num_views - proj.mirrored_views
-                                    - proj.reflected_views)
-        stored = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                     + r.nbytes + c.nbytes for m, _, r, c in proj._views.values())
-        assert proj.nbytes == stored
-        assert all(m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
-                   for m, _, _, _ in proj._views.values())
+def congruent(angle, target):
+    """Whether ``angle`` equals ``target`` mod 360 degrees."""
+    return abs((angle - target + 180.0) % 360.0 - 180.0) <= 1e-9
 
 
 # (geometry, width, height, pixel size, traced, mirrored, reflected): every
@@ -521,12 +379,22 @@ class TestDiagonalReflection:
 # (mirrored), or applied through a transpose with or without flips
 # (reflected or rotated)
 SYMMETRY_SCANS = {
-    "64-1deg": (*DIAGONAL_SCANS["degeneracy-64-1deg"], 46, 45, 70),
+    # 0-84 traced, 96-180 mirrored
+    "small-0-180": (SMALL_GEOM, 32, 32, 4.0, 8, 8, 0),
+    # 10-90 traced: no view has a diagonal partner
+    "degeneracy-64": (DEGENERACY_GEOM, 64, 64, 2.0, 21, 20, 0),
+    # 10-55 traced
+    "64-1deg": (replace(DEGENERACY_GEOM, angle_increment=1.0), 64, 64, 2.0, 46, 45, 70),
     # every map of the square: 0-45 traced
     "64-0-359-1deg": (replace(DEGENERACY_GEOM, angle_start=0.0, angle_end=359.0,
                               angle_increment=1.0), 64, 64, 2.0, 46, 136, 178),
-    "0-180-5deg": (*DIAGONAL_SCANS["small-0-180-5deg"], 10, 10, 17),
-    "0-450-45deg": (*DIAGONAL_SCANS["small-0-450-45deg"], 2, 5, 4),
+    # 0-45 traced
+    "0-180-5deg": (replace(SMALL_GEOM, angle_increment=5.0), 32, 32, 4.0, 10, 10, 17),
+    # 0 and 45 traced: 90, 405 and 450 reflect 0, 45 and 0 across y = x;
+    # 270 turns 0 by 270; 135 and 180 flip 45 and 0 in X, 315 and 360 flip
+    # 45 and 0 in Y, and 225 turns 45 by 180
+    "0-450-45deg": (replace(SMALL_GEOM, angle_end=450.0, angle_increment=45.0),
+                    16, 16, 4.0, 2, 5, 4),
     # not symmetric as a whole (0 has no 180), yet 10-170 pair up
     "0-170-5deg": (replace(SMALL_GEOM, angle_end=170.0, angle_increment=5.0),
                    16, 16, 4.0, 10, 8, 17),
@@ -543,38 +411,94 @@ SYMMETRY_SCANS = {
 FRESH_TRACE_TOL = {"64-0-359-1deg": 2e-12}
 
 
+def symmetry_projector(name):
+    geom, width, height, pixel, *_ = SYMMETRY_SCANS[name]
+    return Projector(geom, width, height, pixel)
+
+
+def transposed_views(proj):
+    """The views applied through a transpose: reflected or rotated."""
+    return [view for view, (_, frame) in enumerate(proj._symmetry) if frame[2]]
+
+
+def assert_views_equal_fresh_traces(proj, views, share=1e-12):
+    """Each of ``views`` as the projector applies it equals its fresh trace
+    to ``share`` of the largest weight: matrix, forward view and sums; its
+    row sums are its traced view's row divisors, bit for bit."""
+    rng = np.random.default_rng(25)
+    for view in views:
+        fresh = traced_dense(proj, view)
+        tol = share * fresh.max()
+        npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
+        f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
+        npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
+                            rtol=1e-12, atol=tol)
+        sums = proj.view_sums(view)
+        npt.assert_allclose(sums.row_sums, fresh.sum(axis=1), rtol=0,
+                            atol=tol * proj.width)
+        npt.assert_allclose(sums.col_sums.ravel(), fresh.sum(axis=0), rtol=0,
+                            atol=tol * proj.geom.detector_channels)
+        # the traced view's own row divisors, bit for bit, reversed under a
+        # reflection; a divisor is 1 where its ray misses the grid
+        stored, _, step = proj._stored(view)
+        npt.assert_array_equal(np.where(sums.row_sums == 0.0, 1.0, sums.row_sums),
+                               stored.row_divisors[::step])
+
+
+def assert_counts(proj, traced, mirrored, reflected):
+    """How many views are traced, mirrored and reflected, and every view's
+    frame maps its traced view's source onto its own."""
+    assert proj.mirrored_views == mirrored
+    assert proj.reflected_views == reflected
+    sources = [source for source, _ in proj._symmetry]
+    assert sorted(set(sources)) == [view for view, source in enumerate(sources)
+                                    if view == source]
+    assert len(set(sources)) == traced == len(sources) - mirrored - reflected
+    assert_frames_map_the_sources(proj)
+    # the X flip is the first map tried
+    for view, (source, frame) in enumerate(proj._symmetry):
+        if source != view and congruent(proj.angles_deg[source]
+                                         + proj.angles_deg[view], 180.0):
+            assert frame == (True, False, False)
+
+
+def assert_stores_the_traced_views(proj, traced):
+    """A fresh projector stores nothing; after ``forward`` it keeps the
+    ``traced`` views' fresh traces, byte for byte, and ``nbytes`` counts them."""
+    assert proj.nbytes == 0
+    proj.forward(np.ones((proj.height, proj.width)))
+    assert len(proj._views) == traced
+    # float64 weights, int32 indices, and the split layout's two indptr
+    # halves: 4 x channels bytes per view more than one row per ray
+    channels, pixels = proj.geom.detector_channels, proj.width * proj.height
+    expected = 0
+    for view, stored in proj._views.items():
+        matrix = stored.matrix
+        assert matrix.shape == (2 * channels, pixels)
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        expected += 12 * matrix.nnz + 4 * (2 * channels + 1) + 8 * (channels + pixels)
+        fresh = proj._trace(view)
+        assert stored.bands == fresh.bands
+        for name in ("data", "indices", "indptr"):
+            assert getattr(matrix, name).tobytes() == getattr(fresh.matrix, name).tobytes()
+        assert stored.row_divisors.tobytes() == fresh.row_divisors.tobytes()
+        assert stored.col_divisors.tobytes() == fresh.col_divisors.tobytes()
+    assert proj.nbytes == expected
+
+
 class TestViewSymmetry:
     @pytest.fixture(params=sorted(SYMMETRY_SCANS))
     def scan(self, request):
-        geom, width, height, pixel, *counts = SYMMETRY_SCANS[request.param]
-        return Projector(geom, width, height, pixel), counts, request.param
+        return symmetry_projector(request.param), SYMMETRY_SCANS[request.param][4:], request.param
 
     def test_views_equal_fresh_traces(self, scan):
         proj, _, name = scan
-        rng = np.random.default_rng(25)
-        for view in range(len(proj.angles_deg)):
-            fresh = traced_dense(proj, view)
-            tol = FRESH_TRACE_TOL.get(name, 1e-12) * fresh.max()
-            npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
-            f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
-            npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
-                                rtol=1e-12, atol=tol)
-            sums = proj.view_sums(view)
-            npt.assert_allclose(sums.row_sums, fresh.sum(axis=1), rtol=0,
-                                atol=tol * proj.width)
-            npt.assert_allclose(sums.col_sums.ravel(), fresh.sum(axis=0), rtol=0,
-                                atol=tol * proj.geom.detector_channels)
+        assert_views_equal_fresh_traces(proj, range(len(proj.angles_deg)),
+                                        FRESH_TRACE_TOL.get(name, 1e-12))
 
     def test_adjoint_identity(self, scan):
         proj, _, _ = scan
-        rng = np.random.default_rng(26)
-        for view in range(len(proj.angles_deg)):
-            f = rng.standard_normal((proj.height, proj.width))
-            q = rng.standard_normal(proj.geom.detector_channels)
-            af = proj.forward_view(f, view)
-            atq = proj.backproject_view(q, view)
-            gap = abs(float(af @ q) - float((f * atq).sum()))
-            assert gap / (np.linalg.norm(af) * np.linalg.norm(q)) < 1e-12
+        assert_adjoint_identity(proj, range(len(proj.angles_deg)), seed=26)
 
     def test_sart_matches_dense_oracle(self, scan):
         proj, _, _ = scan
@@ -587,33 +511,71 @@ class TestViewSymmetry:
         for view in first.values():
             assert_sart_matches_dense_oracle(proj, view, seed=27 + view)
 
+    @pytest.mark.parametrize("name, view, frame, seed", [
+        ("small-0-180", 10, (True, False, False), 20),
+        ("0-180-5deg", 12, (False, False, True), 36),  # 60 from 30 degrees
+        ("0-180-5deg", 18, (False, False, True), 42),  # 90 from 0
+    ], ids=["small-0-180-10", "0-180-5deg-12", "0-180-5deg-18"])
+    def test_coarse_sart_matches_dense_oracle(self, name, view, frame, seed):
+        # an 8 x 8 grid of 16 mm pixels: 64 pixels, all within the fan
+        proj = Projector(SYMMETRY_SCANS[name][0], 8, 8, 16.0)
+        assert proj._stored(view)[1] == frame
+        assert_sart_matches_dense_oracle(proj, view, seed=seed)
+
     def test_counts(self, scan):
-        proj, (traced, mirrored, reflected), _ = scan
-        assert proj.mirrored_views == mirrored
-        assert proj.reflected_views == reflected
-        sources = [source for source, _ in proj._symmetry]
-        assert sorted(set(sources)) == [view for view, source in enumerate(sources)
-                                        if view == source]
-        assert len(set(sources)) == traced == len(sources) - mirrored - reflected
-        assert_frames_map_the_sources(proj)
+        proj, counts, _ = scan
+        assert_counts(proj, *counts)
 
     def test_nbytes_is_the_traced_views(self, scan):
         proj, (traced, _, _), _ = scan
-        assert proj.nbytes == 0
-        proj.forward(np.ones((proj.height, proj.width)))
-        assert len(proj._views) == traced
-        assert proj.nbytes == sum(
-            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + r.nbytes + c.nbytes
-            for m, _, r, c in proj._views.values())
+        assert_stores_the_traced_views(proj, traced)
+
+
+class TestMirrorSharing:
+    """Scans whose second half of views flips the first half in X."""
+
+    def test_adjoint_identity_on_mirrored_views(self):
+        assert_adjoint_identity(small_projector(), range(8, SMALL_GEOM.num_views), seed=19)
+
+    @pytest.mark.parametrize("scan", ["degeneracy-64", "small-0-180"])
+    def test_symmetric_scan_stores_half_the_views(self, scan):
+        proj = symmetry_projector(scan)
+        assert_stores_the_traced_views(proj, -(-proj.geom.num_views // 2))
+
+
+class TestDiagonalReflection:
+    """Square grids whose views beta and 90 - beta are one trace, applied
+    through a transpose."""
+
+    @pytest.mark.parametrize("scan", ["64-1deg", "0-180-5deg", "0-450-45deg"], ids=[
+        "degeneracy-64-1deg-46-70", "small-0-180-5deg-10-17", "small-0-450-45deg-2-4"])
+    def test_reflected_views_equal_fresh_traces(self, scan):
+        proj = symmetry_projector(scan)
+        assert_counts(proj, *SYMMETRY_SCANS[scan][4:])
+        assert_views_equal_fresh_traces(proj, transposed_views(proj))
+
+    def test_adjoint_identity_on_reflected_views(self):
+        proj = symmetry_projector("0-180-5deg")
+        assert_adjoint_identity(proj, transposed_views(proj), seed=23)
+
+    @pytest.mark.parametrize("scan", ["rectangular", "degeneracy-64"],
+                             ids=["non-square", "no-diagonal-partners"])
+    def test_every_unmirrored_view_traced(self, scan):
+        proj = symmetry_projector(scan)
+        assert proj.reflected_views == 0
+        assert_stores_the_traced_views(proj, proj.geom.num_views - proj.mirrored_views)
+
+    def test_nbytes_counts_the_reflected_views(self):
+        # reflected views store nothing of their own
+        proj = symmetry_projector("64-1deg")
+        assert_stores_the_traced_views(
+            proj, proj.geom.num_views - proj.mirrored_views - proj.reflected_views)
 
 
 def three_map_symmetry(angles, square):
     """The view-symmetry rule with only the X flip, the transpose and the
     quarter turn, as it stood before the Y flip and the half and
     three-quarter turns: (source, frame) per view."""
-    def congruent(angle, target):
-        return abs((angle - target + 180.0) % 360.0 - 180.0) <= 1e-9
-
     symmetry, traced = [], []
     for j, beta in enumerate(angles):
         for i in traced:
@@ -635,7 +597,7 @@ def three_map_symmetry(angles, square):
 @pytest.mark.parametrize("geom, width, height, frames", [
     (FanBeamGeometry(1088.0, 544.0, 768, 0.5, 10.0, 170.0, 1.0), 512, 512, 4),
     (FanBeamGeometry(1088.0, 544.0, 384, 1.0, 10.0, 170.0, 4.0), 256, 256, 2),
-    (DIAGONAL_SCANS["degeneracy-64-1deg"][0], 64, 64, 4),
+    (SYMMETRY_SCANS["64-1deg"][0], 64, 64, 4),
     (DEGENERACY_GEOM, 64, 40, 2),
 ], ids=["full", "fewview", "degeneracy-64-1deg", "degeneracy-64x40"])
 def test_scans_within_10_170_keep_their_maps(geom, width, height, frames):

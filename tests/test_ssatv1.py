@@ -2,7 +2,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.core import MU_PER_HU
 from latomo.ssatv1 import (
     binomial_kernel,
     derivative_kernel,
@@ -18,8 +17,7 @@ from latomo.tv import (
     tv_weights,
 )
 
-# smoothing floor tied to the default 5 HU reweighting floor, as in the driver
-DELTA_MU = MU_PER_HU * 5.0
+from oracles import DELTA_MU, central_fd
 
 
 def yop(f, kernel):
@@ -156,17 +154,6 @@ class TestAnisotropicGrad:
         f = np.arange(6.0)[None, :].repeat(9, axis=0) ** 2
         gy = yop(f, derivative_kernel(2)).apply(f)
         npt.assert_allclose(gy, 0.0, atol=1e-13)
-
-
-def central_fd(objective, f, step=1e-7):
-    out = np.zeros_like(f)
-    for idx in np.ndindex(f.shape):
-        fp = f.copy()
-        fp[idx] += step
-        fm = f.copy()
-        fm[idx] -= step
-        out[idx] = (objective(fp) - objective(fm)) / (2 * step)
-    return out
 
 
 class TestSsatv1Gradient:

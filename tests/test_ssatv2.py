@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.core import MU_PER_HU
 from latomo.ssatv1 import binomial_kernel
 from latomo.ssatv2 import PyramidLevel, down_sampler, make_pyramid_level, ssatv2_pass
 from latomo.tv import (
@@ -17,8 +16,7 @@ from latomo.tv import (
     tv_weights,
 )
 
-# smoothing floor tied to the default 5 HU reweighting floor, as in the driver
-DELTA_MU = MU_PER_HU * 5.0
+from oracles import DELTA_MU, central_fd
 
 
 def coarse_value(f_d, w_d, delta_mu=0.0):
@@ -118,17 +116,6 @@ class TestUpsampleAdjoint:
     def test_height_mismatch_rejected(self):
         with pytest.raises(ValueError):
             down_sampler(8, 2).apply_t(np.zeros((3, 4)))
-
-
-def central_fd(objective, f, step=1e-7):
-    out = np.zeros_like(f)
-    for idx in np.ndindex(f.shape):
-        fp = f.copy()
-        fp[idx] += step
-        fm = f.copy()
-        fm[idx] -= step
-        out[idx] = (objective(fp) - objective(fm)) / (2 * step)
-    return out
 
 
 class TestSubstep:
