@@ -104,28 +104,6 @@ window = 0 100
 diff_window = -25 25
 """
 
-# ParameterError.name raised by NoiseSpec, LineSearchParams and ReconConfig
-# (with its schedule) -> the INI key that sets the parameter
-_INI_KEYS = {
-    "incident_photons": "noise.photons",
-    "rng_seed": "noise.seed",
-    "width": "grid.width",
-    "height": "grid.height",
-    "pixel_size": "grid.pixel_size",
-    "algorithm": "recon.algorithm",
-    "relaxation": "recon.relaxation",
-    "eps_hu": "recon.eps_hu",
-    "tv_steps": "recon.steps",
-    "levels": "recon.levels",
-    "l_max": "recon.levels",
-    "budgets": "recon.budgets",
-    "alpha": "recon.alpha",
-    "beta": "recon.ls_beta",
-    "t0": "recon.t0",
-    "max_shrinks": "recon.max_shrinks",
-    "iterations": "recon.iterations",
-}
-
 # --desk: CI-sized variant of the same experiment, applied before any --set
 DESK_SETS = [
     "grid.width=256",
@@ -196,12 +174,13 @@ def load_config(config_path=None, sets=()) -> configparser.ConfigParser:
     return cp
 
 
-def _get(cp, section, key, convert, kind):
-    raw = cp.get(section, key)
+def _get(cp, key, convert, kind):
+    section, option = key.split(".")
+    raw = cp.get(section, option)
     try:
         return convert(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected {kind}, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {kind}, got {raw!r}") from None
 
 
 def _finite(raw: str) -> float:
@@ -211,10 +190,6 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _get_float(cp, section, key) -> float:
-    return _get(cp, section, key, _finite, "a finite number")
-
-
 def _integral(raw: str) -> int:
     value = float(raw)
     if not value.is_integer():
@@ -222,8 +197,47 @@ def _integral(raw: str) -> int:
     return int(value)
 
 
-def _get_int(cp, section, key) -> int:
-    return _get(cp, section, key, _integral, "an integer")
+def _photons(raw: str) -> float | None:
+    return None if raw.strip().lower() in ("none", "off", "") else _finite(raw)
+
+
+def _budgets(raw: str) -> tuple[int, ...] | None:
+    return tuple(int(b) for b in raw.replace(",", " ").split()) or None
+
+
+_FINITE = (_finite, "a finite number")
+_COUNT = (_integral, "an integer")
+
+# INI key -> (the object it configures, the field it sets there, the reader
+# of its value, what the reader's error says it expects).  Every key but
+# phantom.spec, roi.region and output.* is read here, and a ParameterError
+# a constructor raises for a field is reported under the key that set it.
+PARAMETERS = {
+    "geometry.source_to_detector": ("geometry", "source_to_detector", *_FINITE),
+    "geometry.source_to_isocenter": ("geometry", "source_to_isocenter", *_FINITE),
+    "geometry.detector_channels": ("geometry", "detector_channels", *_COUNT),
+    "geometry.channel_size": ("geometry", "channel_size", *_FINITE),
+    "geometry.angle_start": ("geometry", "angle_start", *_FINITE),
+    "geometry.angle_end": ("geometry", "angle_end", *_FINITE),
+    "geometry.angle_increment": ("geometry", "angle_increment", *_FINITE),
+    "noise.photons": ("noise", "incident_photons", _photons, "`none` or a finite number"),
+    "noise.seed": ("noise", "rng_seed", *_COUNT),
+    "grid.width": ("recon", "width", *_COUNT),
+    "grid.height": ("recon", "height", *_COUNT),
+    "grid.pixel_size": ("recon", "pixel_size", *_FINITE),
+    "recon.algorithm": ("recon", "algorithm", lambda raw: raw.strip().lower(), "a name"),
+    "recon.relaxation": ("recon", "relaxation", *_FINITE),
+    "recon.eps_hu": ("recon", "eps_hu", *_FINITE),
+    "recon.steps": ("recon", "tv_steps", *_COUNT),
+    "recon.levels": ("recon", "levels", *_COUNT),
+    "recon.budgets": ("recon", "budgets", _budgets, "integers"),
+    "recon.alpha": ("line_search", "alpha", *_FINITE),
+    "recon.ls_beta": ("line_search", "beta", *_FINITE),
+    "recon.t0": ("line_search", "t0", *_FINITE),
+    "recon.max_shrinks": ("line_search", "max_shrinks", *_COUNT),
+    "recon.iterations": ("recon", "iterations", *_COUNT),
+}
+_KEYS = {(target, name): key for key, (target, name, *_) in PARAMETERS.items()}
 
 
 def _window(low: float, high: float, name: str) -> tuple[float, float]:
@@ -240,7 +254,7 @@ def _get_window(cp, key) -> tuple[float, float]:
         if len(parts) != 2:
             raise ValueError(raw)
         return _window(float(parts[0]), float(parts[1]), key)
-    return _get(cp, "output", key, conv, "two finite numbers, low < high")
+    return _get(cp, f"output.{key}", conv, "two finite numbers, low < high")
 
 
 def _load_phantom(spec: str):
@@ -256,61 +270,22 @@ def _load_phantom(spec: str):
 
 
 def build_experiment(cp: configparser.ConfigParser) -> ExperimentConfig:
-    try:
-        geometry = FanBeamGeometry(
-            source_to_detector=_get_float(cp, "geometry", "source_to_detector"),
-            source_to_isocenter=_get_float(cp, "geometry", "source_to_isocenter"),
-            detector_channels=_get_int(cp, "geometry", "detector_channels"),
-            channel_size=_get_float(cp, "geometry", "channel_size"),
-            angle_start=_get_float(cp, "geometry", "angle_start"),
-            angle_end=_get_float(cp, "geometry", "angle_end"),
-            angle_increment=_get_float(cp, "geometry", "angle_increment"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from None
+    fields = {"geometry": {}, "noise": {}, "recon": {}, "line_search": {}}
+    for key, (target, name, convert, kind) in PARAMETERS.items():
+        fields[target][name] = _get(cp, key, convert, kind)
 
-    seed = _get_int(cp, "noise", "seed")
-    photons_raw = cp.get("noise", "photons").strip().lower()
-    if photons_raw in ("none", "off", ""):
-        noise = None
-    else:
+    def build(cls, target, **given):
         try:
-            noise = NoiseSpec(_get_float(cp, "noise", "photons"), seed)
+            return cls(**fields[target], **given)
         except ParameterError as exc:
-            raise ConfigError(f"{_INI_KEYS[exc.name]}: {exc}") from None
+            raise ConfigError(f"{_KEYS[target, exc.name]}: {exc}") from None
 
-    budgets_raw = cp.get("recon", "budgets").strip()
-    budgets = None
-    if budgets_raw:
-        try:
-            budgets = tuple(int(b) for b in budgets_raw.replace(",", " ").split())
-        except ValueError:
-            raise ConfigError(
-                f"recon.budgets: expected integers, got {budgets_raw!r}"
-            ) from None
-    try:
-        line_search = LineSearchParams(
-            alpha=_get_float(cp, "recon", "alpha"),
-            beta=_get_float(cp, "recon", "ls_beta"),
-            t0=_get_float(cp, "recon", "t0"),
-            max_shrinks=_get_int(cp, "recon", "max_shrinks"),
-        )
-        recon = ReconConfig(
-            algorithm=cp.get("recon", "algorithm").strip().lower(),
-            geometry=geometry,
-            width=_get_int(cp, "grid", "width"),
-            height=_get_int(cp, "grid", "height"),
-            pixel_size=_get_float(cp, "grid", "pixel_size"),
-            relaxation=_get_float(cp, "recon", "relaxation"),
-            eps_hu=_get_float(cp, "recon", "eps_hu"),
-            tv_steps=_get_int(cp, "recon", "steps"),
-            levels=_get_int(cp, "recon", "levels"),
-            budgets=budgets,
-            line_search=line_search,
-            iterations=_get_int(cp, "recon", "iterations"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"{_INI_KEYS[exc.name]}: {exc}") from None
+    geometry = build(FanBeamGeometry, "geometry")
+    noise = None
+    if fields["noise"]["incident_photons"] is not None:
+        noise = build(NoiseSpec, "noise")
+    recon = build(ReconConfig, "recon", geometry=geometry,
+                  line_search=build(LineSearchParams, "line_search"))
 
     spec = _load_phantom(cp.get("phantom", "spec").strip())
     roi_raw = cp.get("roi", "region").strip().lower()

@@ -43,6 +43,27 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value):
+    if not is_count(value):
+        raise ParameterError(name, f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ParameterError(name, f"{name} must be >= 1, got {value}")
+
+
+def _check_positive(name: str, value):
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ParameterError(name, f"{name} must be > 0 and finite, got {value}")
+
+
+def check_lattice(width, height, pixel_size):
+    """Rejects a pixel lattice unless ``width`` and ``height`` are counts
+    >= 1 and ``pixel_size`` is finite and > 0; the ParameterError names the
+    field."""
+    _check_count("width", width)
+    _check_count("height", height)
+    _check_positive("pixel_size", pixel_size)
+
+
 def hu_to_mu(hu):
     """Hounsfield units -> linear attenuation (mm^-1). Accepts scalars or arrays."""
     return MU_WATER * (1.0 + np.asarray(hu, dtype=np.float64) / 1000.0)
@@ -67,10 +88,7 @@ class ImageGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid dimensions must be positive")
-        if not 0 < self.pixel_size < math.inf:
-            raise ValueError(f"pixel_size must be > 0 and finite, got {self.pixel_size}")
+        check_lattice(self.width, self.height, self.pixel_size)
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != (self.height, self.width):
             raise ValueError(
@@ -82,6 +100,7 @@ class ImageGrid:
 
     @classmethod
     def zeros(cls, width, height, pixel_size):
+        check_lattice(width, height, pixel_size)  # before allocating
         return cls(width, height, pixel_size, np.zeros((height, width)))
 
     def with_data(self, data: np.ndarray) -> "ImageGrid":
@@ -144,16 +163,23 @@ class FanBeamGeometry:
 
     def __post_init__(self):
         # `not a < b` forms, so NaN fails every check
-        if not 0 < self.source_to_isocenter < self.source_to_detector < math.inf:
-            raise ValueError(
-                "require 0 < source_to_isocenter < source_to_detector < inf"
-            )
-        if (not is_count(self.detector_channels) or self.detector_channels < 1
-                or not 0 < self.channel_size < math.inf):
-            raise ValueError("invalid detector description")
-        if not (0 < self.angle_increment < math.inf
-                and -math.inf < self.angle_start <= self.angle_end < math.inf):
-            raise ValueError("invalid angular range")
+        for name in ("source_to_isocenter", "source_to_detector", "channel_size",
+                     "angle_increment"):
+            _check_positive(name, getattr(self, name))
+        _check_count("detector_channels", self.detector_channels)
+        for name in ("angle_start", "angle_end"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ParameterError(
+                    name, f"{name} must be finite, got {getattr(self, name)}")
+        if not self.source_to_detector > self.source_to_isocenter:
+            raise ParameterError(
+                "source_to_detector",
+                f"source_to_detector must exceed source_to_isocenter "
+                f"{self.source_to_isocenter}, got {self.source_to_detector}")
+        if not self.angle_end >= self.angle_start:
+            raise ParameterError(
+                "angle_end", f"angle_end must be >= angle_start {self.angle_start}, "
+                             f"got {self.angle_end}")
 
     @property
     def num_views(self) -> int:

@@ -24,6 +24,7 @@ from .core import (
     ParameterError,
     RoiRect,
     Sinogram,
+    check_lattice,
     is_count,
     roi_rmse,
 )
@@ -57,18 +58,18 @@ class ScaleSchedule:
     entries: tuple[tuple[int, int], ...]
 
 
-def make_scale_schedule(l_max: int, total_steps: int = 10,
+def make_scale_schedule(levels: int, total_steps: int = 10,
                         budgets=None) -> ScaleSchedule:
-    """Schedule with scales 2^(l_max-1), ..., 2, 1.
+    """Schedule with scales 2^(levels-1), ..., 2, 1.
 
     Without ``budgets`` one level takes all ``total_steps`` and deeper
     schedules use the built-in 10-step allocations; custom budgets are given
     coarse to fine and must sum to ``total_steps``.
     """
-    if not 1 <= l_max <= 5:
-        raise ParameterError("l_max", f"l_max must be in 1..5, got {l_max}")
-    scales = [2 ** level for level in range(l_max - 1, -1, -1)]
-    if budgets is None and l_max == 1:
+    if not 1 <= levels <= 5:
+        raise ParameterError("levels", f"levels must be in 1..5, got {levels}")
+    scales = [2 ** level for level in range(levels - 1, -1, -1)]
+    if budgets is None and levels == 1:
         budgets = (total_steps,)
     if budgets is None:
         if total_steps != 10:
@@ -76,13 +77,13 @@ def make_scale_schedule(l_max: int, total_steps: int = 10,
                 "budgets",
                 "built-in budgets cover total_steps=10; pass budgets explicitly",
             )
-        budgets = _DEFAULT_BUDGETS[l_max]
+        budgets = _DEFAULT_BUDGETS[levels]
     if not all(is_count(b) for b in budgets):
         raise ParameterError("budgets", f"budgets: expected integers, got {budgets}")
     budgets = tuple(int(b) for b in budgets)
-    if len(budgets) != l_max:
+    if len(budgets) != levels:
         raise ParameterError(
-            "budgets", f"budgets: expected {l_max} entries, got {len(budgets)}")
+            "budgets", f"budgets: expected {levels} entries, got {len(budgets)}")
     if any(b < 1 for b in budgets):
         raise ParameterError(
             "budgets", f"budgets: inner step counts must be >= 1, got {budgets}")
@@ -111,17 +112,11 @@ class ReconConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ParameterError("algorithm", f"algorithm must be one of {ALGORITHMS}")
-        for name in ("width", "height", "tv_steps", "levels", "iterations"):
+        check_lattice(self.width, self.height, self.pixel_size)
+        for name in ("tv_steps", "levels", "iterations"):
             if not is_count(getattr(self, name)):
                 raise ParameterError(
                     name, f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("width", "height"):
-            if getattr(self, name) < 1:
-                raise ParameterError(
-                    name, f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.pixel_size < math.inf:
-            raise ParameterError(
-                "pixel_size", f"pixel_size must be > 0 and finite, got {self.pixel_size}")
         if not 0 < self.relaxation <= 1:
             raise ParameterError("relaxation", "relaxation must be in (0, 1]")
         if not 0 < self.eps_hu < math.inf:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ImageGrid, ParameterError, RoiRect, Sinogram, hu_to_mu
+from .core import ImageGrid, ParameterError, RoiRect, Sinogram, hu_to_mu, is_count
 
 log = logging.getLogger(__name__)
 
@@ -80,9 +79,7 @@ class NoiseSpec:
                 "incident_photons",
                 f"incident_photons must be > 0 and at most {_POISSON_MEAN_MAX:.6g}, "
                 f"the largest Poisson mean numpy draws from, got {self.incident_photons}")
-        if (isinstance(self.rng_seed, bool)
-                or not isinstance(self.rng_seed, numbers.Integral)
-                or self.rng_seed < 0):
+        if not is_count(self.rng_seed) or self.rng_seed < 0:
             raise ParameterError(
                 "rng_seed", f"rng_seed must be an integer >= 0, got {self.rng_seed}")
 
@@ -239,16 +236,14 @@ def load_phantom_spec(path) -> PhantomSpec:
 
 
 def save_phantom_spec(spec: PhantomSpec, path):
+    """Writes each number with ``repr``, so the file loads back to equal
+    primitives."""
     lines = ["# latomo phantom: ellipse cx cy a b theta_deg hu | bar cx cy w h hu"]
     for prim in spec.primitives:
         if isinstance(prim, Ellipse):
-            lines.append(
-                "ellipse %g %g %g %g %g %g"
-                % (*prim.center, *prim.semi_axes, prim.angle_deg, prim.value_hu)
-            )
+            kind, values = "ellipse", (*prim.center, *prim.semi_axes, prim.angle_deg,
+                                       prim.value_hu)
         else:
-            lines.append(
-                "bar %g %g %g %g %g"
-                % (*prim.center, prim.width, prim.height, prim.value_hu)
-            )
+            kind, values = "bar", (*prim.center, prim.width, prim.height, prim.value_hu)
+        lines.append(" ".join([kind] + [repr(float(v)) for v in values]))
     Path(path).write_text("\n".join(lines) + "\n")

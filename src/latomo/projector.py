@@ -94,7 +94,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 
-from .core import FanBeamGeometry
+from .core import FanBeamGeometry, check_lattice
 
 log = logging.getLogger(__name__)
 
@@ -327,6 +327,7 @@ class Projector:
 
     def __init__(self, geom: FanBeamGeometry, width: int, height: int,
                  pixel_size: float):
+        check_lattice(width, height, pixel_size)
         self.geom = geom
         self.width = int(width)
         self.height = int(height)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latomo.cli import (
     DEFAULT_CONFIG,
     DESK_SETS,
+    PARAMETERS,
     ConfigError,
     build_experiment,
     compare_runs,
@@ -177,6 +178,9 @@ NAMED_ERRORS = [
     (["geometry.angle_increment=nan"], "geometry.angle_increment"),
     (["geometry.angle_end=inf"], "geometry.angle_end"),
     (["geometry.source_to_detector=inf"], "geometry.source_to_detector"),
+    (["geometry.detector_channels=0"], "geometry.detector_channels"),
+    (["geometry.angle_end=5"], "geometry.angle_end"),
+    (["geometry.source_to_detector=100"], "geometry.source_to_detector"),
     (["roi.region=-10 nan 10 -30"], "roi.region"),
     (["output.window=0 inf"], "output.window"),
     (["output.window=100 0"], "output.window"),
@@ -262,6 +266,14 @@ _DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
 _DEFAULTS.read_string(DEFAULT_CONFIG)
 CONFIG_KEYS = [f"{section}.{key}" for section in _DEFAULTS.sections()
                for key in _DEFAULTS[section]]
+# A constructor's order check names one key of its pair: an override of
+# either key may fail under the other
+PARTNERS = {
+    "geometry.source_to_detector": "geometry.source_to_isocenter",
+    "geometry.source_to_isocenter": "geometry.source_to_detector",
+    "geometry.angle_start": "geometry.angle_end",
+    "geometry.angle_end": "geometry.angle_start",
+}
 CONFIG_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "", "x", "3 2", "5 5"]),
     st.floats().map(repr),
@@ -279,11 +291,19 @@ def test_every_override_is_valid_or_names_its_section(tmp_path_factory, key, val
     try:
         cfg = build_experiment(load_config(path, sets))
     except ConfigError as exc:
-        assert str(exc).startswith(key.split(".")[0]), (key, value, str(exc))
+        named = str(exc).split(":", 1)[0]
+        assert named in (key, PARTNERS.get(key)), (key, value, str(exc))
         return
     assert all(math.isfinite(x) for x in _floats((cfg.recon, cfg.noise))), (key, value)
     for low, high in (cfg.window, cfg.diff_window):
         assert math.isfinite(low) and math.isfinite(high) and low < high, (key, value)
+
+
+def test_every_parameter_key_is_in_the_table():
+    own_readers = {"phantom.spec", "roi.region", "output.dir", "output.window",
+                   "output.diff_window"}
+    assert set(PARAMETERS) == set(CONFIG_KEYS) - own_readers
+    assert len(CONFIG_KEYS) == 28
 
 
 class TestRunExperiment:
@@ -443,6 +463,20 @@ class TestMain:
                 "--height", "8", "--pixel-size", pixel_size]
         assert main(argv) == 1
         assert "pixel_size must be > 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--width", "0", "width must be >= 1, got 0"),
+        ("--height", "-2", "height must be >= 1, got -2"),
+    ])
+    def test_phantom_subcommand_bad_size_exits_one(self, tmp_path, capsys, option, value,
+                                                   message):
+        # a negative size once failed in numpy's allocation, naming no field
+        out = tmp_path / "x.raw"
+        argv = ["phantom", "builtin", "--out", str(out), "--width", "8",
+                "--height", "8", option, value]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("window", [("100", "0"), ("5", "5"), ("nan", "5"),

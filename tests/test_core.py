@@ -118,6 +118,15 @@ class TestTypes:
         with pytest.raises(ValueError, match="pixel_size must be > 0 and finite"):
             ImageGrid(2, 2, pixel_size, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("width, height, name", [
+        (4, -2, "height"), (0, 4, "width"), (2.5, 4, "width"), (4, True, "height"),
+    ])
+    def test_grid_zeros_checks_the_lattice_before_allocating(self, width, height, name):
+        # a negative height once reached numpy's allocation first
+        with pytest.raises(ParameterError, match=f"^{name} must be") as info:
+            ImageGrid.zeros(width, height, 1.0)
+        assert info.value.name == name
+
     def test_grid_centers_are_isocentric(self):
         img = ImageGrid.zeros(4, 4, 2.0)
         npt.assert_allclose(img.x_centers(), [-3.0, -1.0, 1.0, 3.0])

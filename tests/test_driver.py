@@ -153,7 +153,7 @@ class TestReconConfig:
             config("ssatv1", levels=3, budgets=(5, 5))
         with pytest.raises(ValueError, match="budgets"):
             config("ssatv2", levels=2, tv_steps=9)
-        with pytest.raises(ValueError, match="l_max"):
+        with pytest.raises(ValueError, match="levels"):
             config("ssatv2", levels=6)
         with pytest.raises(ValueError, match="budgets"):
             config("wtv", budgets=(5, 5))

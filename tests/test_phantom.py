@@ -317,6 +317,16 @@ class TestSpecFiles:
         b = rasterize(loaded, 64, 64, 3.0)
         npt.assert_array_equal(a.data, b.data)
 
+    def test_round_trip_keeps_every_digit(self, tmp_path):
+        # once written with %g: -999.9999 reloaded as -1000, 0.33333333 as 0.333333
+        spec = PhantomSpec((
+            Ellipse((0.1 + 0.2, -1 / 3), (70.123456789, 1e-7), 12.3456789, -999.9999),
+            Bar((-58.25, 1 / 7), 0.33333333, 4.5, 800.0000001),
+        ))
+        path = tmp_path / "fine.phantom"
+        save_phantom_spec(spec, path)
+        assert load_phantom_spec(path).primitives == spec.primitives
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "p.phantom"
         path.write_text("# header\n\nellipse 0 0 5 4 0 100  # trailing\nbar 1 2 3 4 -50\n")

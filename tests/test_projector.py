@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from latomo import projector as projector_module
-from latomo.core import FanBeamGeometry
+from latomo.core import FanBeamGeometry, ParameterError
 from latomo.projector import Projector
 
 SMALL_GEOM = FanBeamGeometry(400.0, 200.0, 16, 8.0, 0.0, 180.0, 12.0)
@@ -113,6 +113,23 @@ def clip_segment_length(src, dst, x0, x1, y0, y1):
         t_lo = max(t_lo, min(ta, tb))
         t_hi = min(t_hi, max(ta, tb))
     return max(t_hi - t_lo, 0.0) * float(np.hypot(*direction))
+
+
+@pytest.mark.parametrize("width, height, pixel, name", [
+    (0, 32, 8.0, "width"),
+    (32, 0, 8.0, "height"),
+    (32, 32, -8.0, "pixel_size"),
+    (32, 32, np.nan, "pixel_size"),
+    (32, 32, np.inf, "pixel_size"),
+    (32.5, 32, 8.0, "width"),
+    (True, 32, 8.0, "width"),
+])
+def test_rejects_a_bad_lattice(width, height, pixel, name):
+    # each once constructed, a fractional or boolean width stored truncated,
+    # and forward returned a sinogram
+    with pytest.raises(ParameterError) as info:
+        Projector(SMALL_GEOM, width, height, pixel)
+    assert info.value.name == name
 
 
 class TestForwardProject:
