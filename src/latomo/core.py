@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +44,8 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_count(name: str, value):
+def check_count(name: str, value):
+    """Rejects ``value`` unless it is an integer >= 1, naming ``name``."""
     if not is_count(value):
         raise ParameterError(name, f"{name} must be an integer, got {value!r}")
     if value < 1:
@@ -59,9 +61,18 @@ def check_lattice(width, height, pixel_size):
     """Rejects a pixel lattice unless ``width`` and ``height`` are counts
     >= 1 and ``pixel_size`` is finite and > 0; the ParameterError names the
     field."""
-    _check_count("width", width)
-    _check_count("height", height)
+    check_count("width", width)
+    check_count("height", height)
     _check_positive("pixel_size", pixel_size)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory; None where ``os.sysconf`` reports none."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 def hu_to_mu(hu):
@@ -150,7 +161,8 @@ class FanBeamGeometry:
     The source travels on the circle of radius ``source_to_isocenter`` (mm);
     its angular position is measured in degrees from the +X axis.  The
     detector is centered on the ray through the isocenter, perpendicular to
-    it, at distance ``source_to_detector`` from the source.
+    it, at distance ``source_to_detector`` from the source.  Its sinogram
+    (views x channels x 8 bytes) must fit in physical memory.
     """
 
     source_to_detector: float
@@ -166,7 +178,7 @@ class FanBeamGeometry:
         for name in ("source_to_isocenter", "source_to_detector", "channel_size",
                      "angle_increment"):
             _check_positive(name, getattr(self, name))
-        _check_count("detector_channels", self.detector_channels)
+        check_count("detector_channels", self.detector_channels)
         for name in ("angle_start", "angle_end"):
             if not -math.inf < getattr(self, name) < math.inf:
                 raise ParameterError(
@@ -180,6 +192,14 @@ class FanBeamGeometry:
             raise ParameterError(
                 "angle_end", f"angle_end must be >= angle_start {self.angle_start}, "
                              f"got {self.angle_end}")
+        # num_views before its rounding down, as a float, which cannot overflow
+        views = (self.angle_end - self.angle_start) / self.angle_increment + 1.0
+        memory = _physical_memory()
+        if memory is not None and not views * self.detector_channels * 8 <= memory:
+            raise ParameterError("angle_increment", (
+                f"angle_increment {self.angle_increment} gives a sinogram of {views:.6g} "
+                f"views x {self.detector_channels} channels x 8 bytes, more than the "
+                f"{memory} bytes of physical memory"))
 
     @property
     def num_views(self) -> int:

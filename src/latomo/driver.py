@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ from .core import (
     ParameterError,
     RoiRect,
     Sinogram,
+    check_count,
     check_lattice,
     is_count,
     roi_rmse,
@@ -34,6 +34,7 @@ from .ssatv2 import make_pyramid_level, ssatv2_pass
 from .tv import (
     Buffers,
     LineSearchParams,
+    _eps_mu,
     descent_steps,
     forward_diff_op,
     reweighted_value,
@@ -114,18 +115,10 @@ class ReconConfig:
             raise ParameterError("algorithm", f"algorithm must be one of {ALGORITHMS}")
         check_lattice(self.width, self.height, self.pixel_size)
         for name in ("tv_steps", "levels", "iterations"):
-            if not is_count(getattr(self, name)):
-                raise ParameterError(
-                    name, f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_count(name, getattr(self, name))
         if not 0 < self.relaxation <= 1:
             raise ParameterError("relaxation", "relaxation must be in (0, 1]")
-        if not 0 < self.eps_hu < math.inf:
-            raise ParameterError(
-                "eps_hu", f"eps_hu must be > 0 and finite, got {self.eps_hu}")
-        if self.iterations < 1:
-            raise ParameterError("iterations", "iterations must be >= 1")
-        if self.tv_steps < 1:
-            raise ParameterError("tv_steps", f"tv_steps must be >= 1 for {self.algorithm}")
+        _eps_mu(self.eps_hu)  # the regularizer's floor rule
         if self.algorithm in ("sart", "wtv") and self.levels != 1:
             raise ParameterError(
                 "levels", f"levels must be 1 for {self.algorithm}, got {self.levels}")

@@ -48,8 +48,6 @@ def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
     iterations whose first line search starts at rung ``start``; also
     reports the accepted step sizes.  The descent works in ``buffers``
     when given."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     yop = row_operator(*derivative_kernel(s), f.shape[0])
     return descent_steps(f, yop, steps, params, eps_hu, start=start, buffers=buffers)

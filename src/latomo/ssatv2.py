@@ -66,8 +66,6 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
     direction.  The first line search starts at rung ``start``.  The descent
     works in ``buffers`` when given.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     f = np.asarray(f, dtype=np.float64)
     down = level.sampler
     if f.shape[0] != down.shape[1]:

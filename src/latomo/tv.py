@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .core import MU_PER_HU, ParameterError, is_count
 
@@ -62,8 +62,10 @@ class RowOperator:
 
     ``apply`` and ``apply_t`` take a 2-D input and write into ``out`` when
     it is given: a C-contiguous float64 buffer of the output's shape,
-    distinct from the input; else into a new one.  The product runs scipy's
-    own kernel on the zeroed buffer, so its bits are those of ``mat @ f``.
+    distinct from the input; else into a new one.  Both run scipy's own
+    kernel on the zeroed buffer and the one stored CSR matrix ``mat``, read
+    as its transpose's CSC by ``apply_t``, so their bits are ``mat @ f``'s
+    and ``mat.T @ v``'s.
     """
 
     def __init__(self, taps, anchor: int, height: int, stride: int = 1):
@@ -73,33 +75,31 @@ class RowOperator:
         ks = np.tile(np.arange(taps.size), kept)
         cols = np.clip(rows * stride + anchor - ks, 0, height - 1)
         data = np.tile(taps, kept)
+        # tocsr sums the taps that clamp onto one row
         mat = sp.coo_matrix((data, (rows, cols)), shape=(kept, height)).tocsr()
-        mat.sum_duplicates()
         self.shape = mat.shape
         self._mat = mat
-        self._mat_t = mat.T.tocsr()
 
     def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _product(self._mat, f, out)
+        return _product(csr_matvecs, self._mat, self.shape, f, out)
 
     def apply_t(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _product(self._mat_t, v, out)
+        return _product(csc_matvecs, self._mat, self.shape[::-1], v, out)
 
 
-def _product(mat: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _product(kernel, mat, shape, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != mat.shape[1]:
-        raise ValueError(f"input must be 2-D with {mat.shape[1]} rows, got shape "
-                         f"{x.shape} (operator {mat.shape})")
-    shape = (mat.shape[0], x.shape[1])
+    if x.ndim != 2 or x.shape[0] != shape[1]:
+        raise ValueError(f"input must be 2-D with {shape[1]} rows, got shape "
+                         f"{x.shape} (operator {shape})")
+    product = (shape[0], x.shape[1])
     if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        out = np.empty(product)
+    elif out.shape != product or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{shape} for an input of shape {x.shape} (operator {mat.shape})")
+                         f"{product} for an input of shape {x.shape} (operator {shape})")
     out.fill(0.0)
-    _csr_matvecs(*mat.shape, x.shape[1], mat.indptr, mat.indices, mat.data,
-                 x.ravel(), out.ravel())
+    kernel(*shape, x.shape[1], mat.indptr, mat.indices, mat.data, x.ravel(), out.ravel())
     return out
 
 
@@ -124,10 +124,13 @@ def forward_diff_op(height: int) -> RowOperator:
 
 def _eps_mu(eps_hu: float) -> float:
     """The reweighting floor ``eps_hu`` (HU) in mm^-1.  It is also the
-    descent's smoothing floor, so both are derived here and only here."""
-    if not 0 < eps_hu < math.inf:
-        raise ValueError(f"eps_hu must be > 0 and finite, got {eps_hu}")
-    return MU_PER_HU * eps_hu
+    descent's smoothing floor, so both are derived here and only here.  Its
+    square must not underflow to 0, which makes a flat pixel's term 0/0."""
+    eps_mu = MU_PER_HU * eps_hu
+    if not 0 < eps_hu < math.inf or eps_mu * eps_mu == 0.0:
+        raise ParameterError("eps_hu", f"eps_hu must be > 0 and finite, and its floor's "
+                                       f"square in mm^-2 > 0, got {eps_hu}")
+    return eps_mu
 
 
 class Differences:
@@ -218,33 +221,26 @@ def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
     return _weighted_sum(w, diffs.magnitude(delta_mu, out=scratch))
 
 
-def _magnitude(f: np.ndarray, yop: RowOperator, buffers: Buffers) -> np.ndarray:
-    """|grad f| in the buffers' first set of differences (``sq``); their
-    ``dx`` and ``dy`` are free again on return."""
-    diffs = buffers.differences(0, np.shape(f))
-    return diffs.fill(f, yop, scratch=diffs.dy).magnitude(out=diffs.sq)
-
-
 def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
                buffers: Buffers | None = None) -> np.ndarray:
     """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU.
-    The weights are the ``weights`` buffer of ``buffers`` when given."""
+    The weights are the ``weights`` buffer of ``buffers`` when given, and
+    |grad f| is left in the ``sq`` of its first set of differences."""
     eps_mu = _eps_mu(eps_hu)
     buffers = Buffers() if buffers is None else buffers
-    return _reweight(_magnitude(f, yop, buffers), eps_mu,
-                     out=buffers.array("weights", np.shape(f)))
+    diffs = buffers.differences(0, np.shape(f))
+    magnitude = diffs.fill(f, yop, scratch=diffs.dy).magnitude(out=diffs.sq)
+    return _reweight(magnitude, eps_mu, out=buffers.array("weights", np.shape(f)))
 
 
 def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
                      buffers: Buffers | None = None) -> float:
     """``tv_value(f, tv_weights(f, eps_hu, yop), yop)``, bit for bit, from one
     difference pass: the TV value of ``f`` under its own weights.  It works
-    in the first set of differences of ``buffers`` when given."""
-    eps_mu = _eps_mu(eps_hu)
+    in the buffers of :func:`tv_weights`."""
     buffers = Buffers() if buffers is None else buffers
-    magnitude = _magnitude(f, yop, buffers)
-    weights = _reweight(magnitude, eps_mu, out=buffers.differences(0, np.shape(f)).dx)
-    return _weighted_sum(weights, magnitude)
+    weights = tv_weights(f, eps_hu, yop, buffers=buffers)
+    return _weighted_sum(weights, buffers.differences(0, np.shape(f)).sq)
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
@@ -310,21 +306,22 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
     grid of ``down.apply(f)``, held in the ``sampled`` buffer, and each step
     is taken along ``down.apply_t(ghat)``, held in the ``pulled`` buffer on
     the grid of ``f``.  There a trial never becomes an iterate, so one set
-    of differences serves.
+    of differences serves, and every pull-back is re-sampled at once, at
+    any log level, to start the next step; a value above the accepted
+    trial's is a rise, a DEBUG record on the ``latomo.ssatv2`` logger.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     delta_mu = _eps_mu(eps_hu)
     f = np.asarray(f, dtype=np.float64)
     buffers = Buffers() if buffers is None else buffers
     shape = f.shape if down is None else (down.shape[0], f.shape[1])
     grad, ghat = buffers.array("gradient", shape), buffers.array("direction", shape)
-    pair = ((buffers.differences(0, shape),) * 2 if down is not None
-            else (buffers.differences(0, shape), buffers.differences(1, shape)))
+    pair = (buffers.differences(0, shape), buffers.differences(int(down is None), shape))
     if down is not None:
         sampled, pulled = buffers.array("sampled", shape), buffers.array("pulled", f.shape)
     accepted: list[float] = []
     rung, owned = start, False
-    diffs, f0 = None, None  # the current iterate's, while still known
-    w = None  # the first iterate's weights, frozen for every step
 
     def objective(trial: np.ndarray) -> float:
         # the n-th trial of a search (from 0; the search is always given
@@ -333,20 +330,14 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
         tried += 1
         return tv_value(trial, w, yop, diffs=pair[tried % 2], scratch=trial)
 
-    def sample() -> tuple[Differences, float]:
-        """Differences and TV value of the current (sampled) iterate; the
-        weights too, the first time."""
-        nonlocal w
-        x = f if down is None else down.apply(f, out=sampled)
-        found = pair[0].fill(x, yop, scratch=grad)
-        magnitude = found.magnitude(out=grad)
-        if w is None:
-            w = _reweight(magnitude, delta_mu, out=buffers.array("weights", shape))
-        return found, _weighted_sum(w, magnitude)
-
+    # the first (sampled) iterate's differences, its weights, frozen for
+    # every step, and its value
+    x = f if down is None else down.apply(f, out=sampled)
+    diffs = pair[0].fill(x, yop, scratch=grad)
+    magnitude = diffs.magnitude(out=grad)
+    w = _reweight(magnitude, delta_mu, out=buffers.array("weights", shape))
+    f0 = _weighted_sum(w, magnitude)
     for _ in range(steps):
-        if diffs is None:
-            diffs, f0 = sample()
         x = f if down is None else sampled
         tv_gradient(x, w, yop, delta_mu, diffs=diffs, out=grad)
         if normalize_direction(grad, out=ghat)[1]:
@@ -364,19 +355,16 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
         else:
             update = down.apply_t(ghat, out=pulled)
             update *= t
-            diffs = f0 = None
         f = np.subtract(f, update, out=f if owned else None)
         owned = True
-        if down is not None and _pullback_log.isEnabledFor(logging.DEBUG):
-            # fine-grid update re-sampled; small excess possible by design.
-            # The re-sampled image is the next iterate, so its differences
-            # and value carry over to the next step.
-            diffs, f0 = sample()
+        if down is not None:
+            # the pulled-back update re-sampled is the next step's iterate;
+            # it may overshoot the coarse step's value
+            diffs = pair[0].fill(down.apply(f, out=sampled), yop, scratch=grad)
+            f0 = _weighted_sum(w, diffs.magnitude(out=grad))
             if f0 > step.value:
-                _pullback_log.debug(
-                    "coarse objective rose after pull-back: %.6g > %.6g",
-                    f0, step.value,
-                )
+                _pullback_log.debug("coarse objective rose after pull-back: %.6g > %.6g",
+                                    f0, step.value)
     return f, accepted
 
 

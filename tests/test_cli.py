@@ -181,6 +181,8 @@ NAMED_ERRORS = [
     (["geometry.detector_channels=0"], "geometry.detector_channels"),
     (["geometry.angle_end=5"], "geometry.angle_end"),
     (["geometry.source_to_detector=100"], "geometry.source_to_detector"),
+    # 160000000001 views: a sinogram larger than physical memory
+    (["geometry.angle_increment=1e-9"], "geometry.angle_increment"),
     (["roi.region=-10 nan 10 -30"], "roi.region"),
     (["output.window=0 inf"], "output.window"),
     (["output.window=100 0"], "output.window"),
@@ -200,6 +202,7 @@ NAMED_ERRORS = [
     (["recon.relaxation=1.5"], "recon.relaxation"),
     (["recon.eps_hu=0"], "recon.eps_hu"),
     (["recon.eps_hu=inf"], "recon.eps_hu"),
+    (["recon.eps_hu=1e-200"], "recon.eps_hu"),  # its floor squares to 0.0
     (["recon.iterations=0"], "recon.iterations"),
     (["recon.algorithm=magic"], "recon.algorithm"),
     (["recon.algorithm=ssatv1", "geometry.angle_start=0", "geometry.angle_end=40"],
@@ -266,13 +269,16 @@ _DEFAULTS = configparser.ConfigParser(inline_comment_prefixes=("#",))
 _DEFAULTS.read_string(DEFAULT_CONFIG)
 CONFIG_KEYS = [f"{section}.{key}" for section in _DEFAULTS.sections()
                for key in _DEFAULTS[section]]
-# A constructor's order check names one key of its pair: an override of
-# either key may fail under the other
+# A constructor's relational check names one key of those it relates: an
+# override of another may fail under it.  The order checks relate pairs; the
+# sinogram's bound on physical memory names angle_increment for every key
+# that sets the view or channel count
 PARTNERS = {
-    "geometry.source_to_detector": "geometry.source_to_isocenter",
-    "geometry.source_to_isocenter": "geometry.source_to_detector",
-    "geometry.angle_start": "geometry.angle_end",
-    "geometry.angle_end": "geometry.angle_start",
+    "geometry.source_to_detector": {"geometry.source_to_isocenter"},
+    "geometry.source_to_isocenter": {"geometry.source_to_detector"},
+    "geometry.angle_start": {"geometry.angle_end", "geometry.angle_increment"},
+    "geometry.angle_end": {"geometry.angle_start", "geometry.angle_increment"},
+    "geometry.detector_channels": {"geometry.angle_increment"},
 }
 CONFIG_VALUES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "", "x", "3 2", "5 5"]),
@@ -292,7 +298,7 @@ def test_every_override_is_valid_or_names_its_section(tmp_path_factory, key, val
         cfg = build_experiment(load_config(path, sets))
     except ConfigError as exc:
         named = str(exc).split(":", 1)[0]
-        assert named in (key, PARTNERS.get(key)), (key, value, str(exc))
+        assert named in {key} | PARTNERS.get(key, set()), (key, value, str(exc))
         return
     assert all(math.isfinite(x) for x in _floats((cfg.recon, cfg.noise))), (key, value)
     for low, high in (cfg.window, cfg.diff_window):

@@ -3,11 +3,13 @@ and any one field set to NaN, +-inf or a value out of its range raises."""
 
 import math
 from dataclasses import asdict
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latomo import core
 from latomo.core import FanBeamGeometry, ParameterError
 from latomo.driver import ALGORITHMS, ReconConfig
 from latomo.tv import LineSearchParams
@@ -33,10 +35,12 @@ def geometries(draw, centred=False):
     else:
         span = draw(finite(0.0, 720.0))
         start = draw(finite(-720.0, 720.0))
+    # a sinogram of at most 1 GiB, which fits any machine the suite runs on
+    views = math.floor(span / increment + 1e-9) + 1
     return FanBeamGeometry(
         source_to_detector=source_to_isocenter * draw(finite(1.0, 10.0, exclude_min=True)),
         source_to_isocenter=source_to_isocenter,
-        detector_channels=draw(st.integers(1, 4096)),
+        detector_channels=draw(st.integers(1, min(4096, 2 ** 27 // views))),
         channel_size=draw(finite(1e-3, 10.0)),
         angle_start=start,
         angle_end=start + span,
@@ -149,6 +153,31 @@ def test_geometry_rejects_any_bad_field(geom, name, data):
     with pytest.raises(ParameterError) as info:
         rebuild(FanBeamGeometry, geom, **{name: value})
     assert info.value.name in GEOMETRY_NAMES.get(name, {name})
+
+
+# (angle_increment, physical memory in bytes or None where the platform
+# reports none, whether the 10-170 degree scan of 96 channels is accepted);
+# 1 degree gives 161 views, a sinogram of 123648 bytes
+VIEW_BOUND = [
+    (1.0, 161 * 96 * 8, True),
+    (1.0, 161 * 96 * 8 - 1, False),
+    (1e-9, None, True),  # no bound where the platform reports no memory
+    (1e-9, 2 ** 40, False),  # 160000000001 views
+    (1e-320, 2 ** 40, False),  # a view count that overflows
+]
+
+
+@pytest.mark.parametrize("increment, memory, accepted", VIEW_BOUND)
+def test_geometry_bounds_the_sinogram_by_physical_memory(monkeypatch, increment,
+                                                         memory, accepted):
+    monkeypatch.setattr(core, "_physical_memory", lambda: memory)
+    build = partial(FanBeamGeometry, 400.0, 200.0, 96, 1.6, 10.0, 170.0, increment)
+    if accepted:
+        assert build().detector_channels == 96
+        return
+    with pytest.raises(ParameterError, match="physical memory") as info:
+        build()
+    assert info.value.name == "angle_increment"
 
 
 @PROPERTY

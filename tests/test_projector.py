@@ -354,11 +354,26 @@ def traced_dense(proj, view_index):
 
 
 def applied_dense(proj, view_index):
-    """A view's matrix as the projector applies it: row c is the
-    back-projection of channel c alone."""
-    channels = proj.geom.detector_channels
-    return np.stack([proj.backproject_view(np.eye(channels)[c], view_index).ravel()
-                     for c in range(channels)])
+    """A view's matrix as the projector applies it: its traced view's stored
+    matrix with each row, an image in the traced view's frame, mapped into
+    the view's frame, and the channels reversed when the map is a
+    reflection.  The view's back-projection of one random residual must be
+    that matrix's, to rounding."""
+    flip_x, flip_y, transposed = frame = proj._symmetry[view_index][1]
+    # pixel p of the traced view's frame is pixel columns[p] of the view's:
+    # the view's pixel ids flipped in X and in Y, then transposed, as the
+    # frame says (a transpose maps only square grids)
+    columns = np.arange(proj.height * proj.width).reshape(proj.height, proj.width)
+    columns = columns[::-1 if flip_y else 1, ::-1 if flip_x else 1]
+    columns = (columns.T if transposed else columns).ravel()
+    stored = ray_major(proj._stored(view_index)[0].matrix)
+    dense = csr_array((stored.data, columns[stored.indices], stored.indptr),
+                      shape=stored.shape).toarray()[::-1 if sum(frame) % 2 else 1]
+    residual = np.random.default_rng(view_index).normal(size=dense.shape[0])
+    gap = proj.backproject_view(residual, view_index).ravel() - residual @ dense
+    # the weights are nonnegative, so |residual| @ dense bounds each sum's terms
+    assert np.all(np.abs(gap) <= 1e-12 * (np.abs(residual) @ dense)), view_index
+    return dense
 
 
 def mapped_direction(frame, beta_deg):
@@ -446,7 +461,7 @@ def assert_views_equal_fresh_traces(proj, views, share=1e-12):
     for view in views:
         fresh = traced_dense(proj, view)
         tol = share * fresh.max()
-        npt.assert_allclose(applied_dense(proj, view), fresh, rtol=0, atol=tol)
+        assert np.abs(applied_dense(proj, view) - fresh).max() <= tol, view
         f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
         npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
                             rtol=1e-12, atol=tol)

@@ -167,21 +167,30 @@ class TestSubstep:
         after = coarse_value(down.apply(out), w_d)
         assert after < before
 
-    def test_debug_log_reports_rise_after_pull_back(self, caplog):
+    def test_debug_log_reports_rise_after_pull_back(self, caplog, monkeypatch):
         # on a noisy image the re-sampled fine update overshoots the coarse
-        # step's prediction; the check runs only when DEBUG is enabled and
-        # leaves the result unchanged
+        # step's prediction; every pull-back is re-sampled at once, so DEBUG
+        # changes neither the result, the steps nor the samples taken
         rng = np.random.default_rng(48)
         f = rng.uniform(0.0, 0.04, (32, 16))
         level = make_pyramid_level(f, 2, 5.0)
         params = LineSearchParams()
-        with caplog.at_level(logging.INFO, logger="latomo.ssatv2"):
-            quiet, _ = ssatv2_pass(f, level, 5.0, 5, params)
-        assert caplog.records == []
-        with caplog.at_level(logging.DEBUG, logger="latomo.ssatv2"):
-            traced, accepted = ssatv2_pass(f, level, 5.0, 5, params)
-        rises = [r for r in caplog.records if "rose after pull-back" in r.getMessage()]
-        assert rises and len(rises) <= len(accepted)
+        samples, apply = [], level.sampler.apply
+        monkeypatch.setattr(level.sampler, "apply",
+                            lambda *args, **kwargs: samples.append(1) or apply(*args, **kwargs))
+        runs = []
+        for log_level in (logging.INFO, logging.DEBUG):
+            caplog.clear()
+            samples.clear()
+            with caplog.at_level(log_level, logger="latomo.ssatv2"):
+                out, accepted = ssatv2_pass(f, level, 5.0, 5, params)
+            # the first iterate's sample, then one per accepted pull-back
+            assert len(samples) == len(accepted) + 1
+            rises = [r for r in caplog.records if "rose after pull-back" in r.getMessage()]
+            runs.append((out, [(float(t), t.rung) for t in accepted], len(samples), rises))
+        (quiet, *info, silent), (traced, *debug, rises) = runs
+        assert silent == [] and info == debug  # the same steps and samples
+        assert rises and len(rises) <= len(debug[0])
         assert all(r.name == "latomo.ssatv2" for r in rises)
         npt.assert_array_equal(traced, quiet)
 

@@ -177,10 +177,11 @@ EPS_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("eps_hu", [0.0, -5.0, np.nan, np.inf], ids=repr)
+@pytest.mark.parametrize("eps_hu", [0.0, -5.0, np.nan, np.inf, 1e-200], ids=repr)
 @pytest.mark.parametrize("entry", sorted(EPS_ENTRY_POINTS))
 def test_every_eps_entry_point_rejects_a_bad_floor(entry, eps_hu):
-    # 0 and nan once returned the image unchanged after 0 steps, -5 ran
+    # 0 and nan once returned the image unchanged after 0 steps, -5 ran;
+    # 1e-200's floor squares to 0.0, which once made every flat pixel 0/0
     f = np.random.default_rng(20).uniform(0.0, 0.04, (8, 8))
     with pytest.raises(ValueError, match="eps_hu"):
         EPS_ENTRY_POINTS[entry](f, eps_hu)
@@ -563,8 +564,9 @@ class TestSharedDifferences:
             op = row_operator(*derivative_kernel(4), 19)
         else:
             op = down_sampler(19, 4)
-        # scipy's own products of the operator's matrices are the reference
-        want, want_back = op._mat @ f, op._mat_t @ (op._mat @ f)
+        # scipy's own products of the operator's matrix and its transpose
+        # are the reference
+        want, want_back = op._mat @ f, op._mat.T @ (op._mat @ f)
         out = np.full((op.shape[0], width), np.nan)
         assert op.apply(f, out=out) is out
         back = np.full((op.shape[1], width), np.nan)
