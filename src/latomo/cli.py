@@ -378,15 +378,33 @@ def run_experiment(config_path, sets=()) -> Path:
     return out
 
 
+def _column_names(paths: list[Path]) -> list[str]:
+    """Each CSV's stem, or ``parent/stem`` where another file has its stem;
+    a file named twice keeps one name."""
+    def clashing(names):  # the names that two different files would take
+        files = {}
+        for path, name in zip(paths, names):
+            files.setdefault(name, set()).add(path.resolve())
+        return {name for name, found in files.items() if len(found) > 1}
+
+    clash = clashing([path.stem for path in paths])
+    names = [f"{p.parent.name}/{p.stem}" if p.stem in clash else p.stem for p in paths]
+    for name in clashing(names):
+        both = " and ".join(str(p) for p, n in zip(paths, names) if n == name)
+        raise ConfigError(f"compare: {both} both give the column {name}")
+    return names
+
+
 def compare_runs(log_paths, out_path) -> int:
     """Merge convergence CSVs into one table: iter plus one ROI-RMSE column
-    per run.  Shorter runs are padded with empty cells (with a warning).
-    Returns the number of data rows written."""
+    per run, named by the CSV's stem, or by ``parent/stem`` where two files
+    share a stem.  Shorter runs are padded with empty cells (with a
+    warning).  Returns the number of data rows written."""
     if not log_paths:
         raise ConfigError("compare: need at least one CSV")
+    paths = [Path(path) for path in log_paths]
     columns = []
-    for path in log_paths:
-        path = Path(path)
+    for path, name in zip(paths, _column_names(paths)):
         try:
             with open(path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
@@ -394,7 +412,7 @@ def compare_runs(log_paths, out_path) -> int:
             raise ConfigError(f"compare: cannot read {path}: {exc}") from None
         if not rows or "roi_rmse_hu" not in rows[0] or "iter" not in rows[0]:
             raise ConfigError(f"compare: {path} is not a convergence CSV")
-        columns.append((path.stem, [row["roi_rmse_hu"] for row in rows]))
+        columns.append((name, [row["roi_rmse_hu"] for row in rows]))
     length = max(len(series) for _, series in columns)
     if any(len(series) != length for _, series in columns):
         log.warning("compare: iteration counts differ; padding short columns")

@@ -162,7 +162,8 @@ class FanBeamGeometry:
     its angular position is measured in degrees from the +X axis.  The
     detector is centered on the ray through the isocenter, perpendicular to
     it, at distance ``source_to_detector`` from the source.  Its sinogram
-    (views x channels x 8 bytes) must fit in physical memory.
+    (views x channels x 8 bytes) must fit in physical memory, where the
+    platform reports it, and in one numpy array.
     """
 
     source_to_detector: float
@@ -192,14 +193,16 @@ class FanBeamGeometry:
             raise ParameterError(
                 "angle_end", f"angle_end must be >= angle_start {self.angle_start}, "
                              f"got {self.angle_end}")
-        # num_views before its rounding down, as a float, which cannot overflow
+        # num_views before its rounding down, as a float: an infinite count
+        # fails numpy's bound, which holds wherever memory goes unreported
         views = (self.angle_end - self.angle_start) / self.angle_increment + 1.0
-        memory = _physical_memory()
-        if memory is not None and not views * self.detector_channels * 8 <= memory:
-            raise ParameterError("angle_increment", (
-                f"angle_increment {self.angle_increment} gives a sinogram of {views:.6g} "
-                f"views x {self.detector_channels} channels x 8 bytes, more than the "
-                f"{memory} bytes of physical memory"))
+        for limit, what in ((_physical_memory(), "physical memory"),
+                            (np.iinfo(np.intp).max, "numpy's largest array")):
+            if limit is not None and not views * self.detector_channels * 8 <= limit:
+                raise ParameterError("angle_increment", (
+                    f"angle_increment {self.angle_increment} gives a sinogram of "
+                    f"{views:.6g} views x {self.detector_channels} channels x 8 bytes, "
+                    f"more than the {limit} bytes of {what}"))
 
     @property
     def num_views(self) -> int:

@@ -29,15 +29,17 @@ from .core import (
     roi_rmse,
 )
 from .projector import Projector
-from .ssatv1 import ssatv1_pass
-from .ssatv2 import make_pyramid_level, ssatv2_pass
 from .tv import (
     Buffers,
     LineSearchParams,
     _eps_mu,
     descent_steps,
+    down_sampler,
     forward_diff_op,
+    make_pyramid_level,
     reweighted_value,
+    ssatv1_pass,
+    ssatv2_pass,
 )
 
 ALGORITHMS = ("sart", "wtv", "ssatv1", "ssatv2")
@@ -139,7 +141,7 @@ class ReconConfig:
                     f"centred on {mid:g}"
                 )
         coarsest = self.schedule().entries[0][0]
-        if self.algorithm == "ssatv2" and -(-self.height // coarsest) < 2:
+        if self.algorithm == "ssatv2" and down_sampler(self.height, coarsest).shape[0] < 2:
             raise ParameterError(
                 "levels",
                 f"levels = {self.levels} down-samples height = {self.height} "

@@ -1,4 +1,4 @@
-"""Weighted total variation: gradient operator, value, weights, descent step.
+"""Weighted total variation and its scale-space anisotropic variants.
 
 All functions work on plain 2-D float arrays shaped (height, width) with
 row index = Y (axis conventions in :mod:`latomo.core`).  X derivatives are
@@ -6,6 +6,14 @@ backward differences; Y derivatives go through a :class:`RowOperator`, a
 banded matrix along the row axis with out-of-range taps clamped to the edge.
 The gradient of the weighted TV value is computed with the operator's exact
 transpose, so finite-difference checks agree to rounding error.
+
+Every regularizer runs :func:`descent_steps`; only the Y operator differs.
+wTV takes the plain difference.  ssaTV-1 widens it at scale s into a
+binomial low-pass kernel (std dev sqrt(s/2)) convolved with [1, -1] and
+rescaled to l1 norm 2.  ssaTV-2 low-pass filters and sub-samples the image
+along Y only, finds the weighted-TV step on the coarse grid, and pulls it
+back through the sampler's exact adjoint, including the clamped-boundary
+bookkeeping.  At scale 1 both variants are the weighted-TV step, bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +128,42 @@ def forward_diff_op(height: int) -> RowOperator:
     return row_operator(np.array([1.0, -1.0]), 0, height)
 
 
+def binomial_kernel(s: int) -> np.ndarray:
+    """Normalized binomial taps C(2s, j) / 4^s: symmetric, length 2s+1, unit
+    sum, std dev exactly sqrt(s/2)."""
+    if s < 1:
+        raise ValueError("scale must be >= 1")
+    taps = np.array([math.comb(2 * s, j) for j in range(2 * s + 1)], dtype=np.float64)
+    return taps / 4.0 ** s
+
+
+def derivative_kernel(s: int) -> tuple[np.ndarray, int]:
+    """Scale-s smoothed difference ``(taps, anchor)`` of ssaTV-1: the
+    binomial kernel convolved with [1, -1], rescaled to l1 norm 2, so the
+    taps are antisymmetric with zero sum.  Scale 1 is the plain difference
+    [1, -1].
+
+    The response at row y is sum_k taps[k] * f[y + anchor - k]; the anchor
+    centers every scale on the same half-pixel as f[y] - f[y-1].
+    """
+    if s < 1:
+        raise ValueError("scale must be >= 1")
+    if s == 1:
+        return np.array([1.0, -1.0]), 0
+    taps = np.convolve(binomial_kernel(s), [1.0, -1.0])
+    taps *= 2.0 / np.abs(taps).sum()
+    return taps, s
+
+
+def down_sampler(height: int, s: int) -> RowOperator:
+    """ssaTV-2's binomial low-pass along Y keeping rows 0, s, 2s, ... of
+    ``height`` rows; the identity at scale 1.  ``apply_t`` is the exact
+    adjoint up-sampler."""
+    if s == 1:
+        return row_operator((1.0,), 0, height)
+    return row_operator(binomial_kernel(s), s, height, stride=s)
+
+
 # -- generic weighted-TV machinery (parameterized by the Y operator) --------
 
 def _eps_mu(eps_hu: float) -> float:
@@ -209,6 +253,20 @@ def _weighted_sum(w, magnitude: np.ndarray) -> float:
     return float(np.sum(np.multiply(w, magnitude, out=magnitude)))
 
 
+def _sample(f: np.ndarray, yop: RowOperator, eps_mu: float, buffers: Buffers,
+            scratch: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The weights 1 / (|grad f| + eps_mu) of ``f`` and its TV value under
+    them, from one difference pass into the first set of differences of
+    ``buffers``; the weights are its ``weights`` buffer.  ``scratch`` is an
+    image-size buffer for dy² and then |grad f|; by default the differences'
+    own ``dy``, which the weights do not need."""
+    diffs = buffers.differences(0, np.shape(f))
+    scratch = diffs.dy if scratch is None else scratch
+    magnitude = diffs.fill(f, yop, scratch=scratch).magnitude(out=scratch)
+    w = _reweight(magnitude, eps_mu, out=buffers.array("weights", np.shape(f)))
+    return w, _weighted_sum(w, magnitude)
+
+
 def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
              delta_mu: float = 0.0, diffs: Differences | None = None,
              scratch: np.ndarray | None = None) -> float:
@@ -224,13 +282,8 @@ def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
 def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
                buffers: Buffers | None = None) -> np.ndarray:
     """Reweighting: w = 1 / (|grad f| + eps), with the floor eps given in HU.
-    The weights are the ``weights`` buffer of ``buffers`` when given, and
-    |grad f| is left in the ``sq`` of its first set of differences."""
-    eps_mu = _eps_mu(eps_hu)
-    buffers = Buffers() if buffers is None else buffers
-    diffs = buffers.differences(0, np.shape(f))
-    magnitude = diffs.fill(f, yop, scratch=diffs.dy).magnitude(out=diffs.sq)
-    return _reweight(magnitude, eps_mu, out=buffers.array("weights", np.shape(f)))
+    The weights are the ``weights`` buffer of ``buffers`` when given."""
+    return _sample(f, yop, _eps_mu(eps_hu), Buffers() if buffers is None else buffers)[0]
 
 
 def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
@@ -238,9 +291,7 @@ def reweighted_value(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
     """``tv_value(f, tv_weights(f, eps_hu, yop), yop)``, bit for bit, from one
     difference pass: the TV value of ``f`` under its own weights.  It works
     in the buffers of :func:`tv_weights`."""
-    buffers = Buffers() if buffers is None else buffers
-    weights = tv_weights(f, eps_hu, yop, buffers=buffers)
-    return _weighted_sum(weights, buffers.differences(0, np.shape(f)).sq)
+    return _sample(f, yop, _eps_mu(eps_hu), Buffers() if buffers is None else buffers)[1]
 
 
 def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
@@ -332,11 +383,9 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
 
     # the first (sampled) iterate's differences, its weights, frozen for
     # every step, and its value
-    x = f if down is None else down.apply(f, out=sampled)
-    diffs = pair[0].fill(x, yop, scratch=grad)
-    magnitude = diffs.magnitude(out=grad)
-    w = _reweight(magnitude, delta_mu, out=buffers.array("weights", shape))
-    f0 = _weighted_sum(w, magnitude)
+    w, f0 = _sample(f if down is None else down.apply(f, out=sampled), yop, delta_mu,
+                    buffers, scratch=grad)
+    diffs = pair[0]
     for _ in range(steps):
         x = f if down is None else sampled
         tv_gradient(x, w, yop, delta_mu, diffs=diffs, out=grad)
@@ -366,6 +415,57 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
                 _pullback_log.debug("coarse objective rose after pull-back: %.6g > %.6g",
                                     f0, step.value)
     return f, accepted
+
+
+# -- the scale passes of ssaTV-1 and ssaTV-2 ---------------------------------
+
+def ssatv1_pass(f: np.ndarray, eps_hu: float, s: int, steps: int,
+                params: LineSearchParams, start: int = 0, *,
+                buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
+    """Weights from the scale-s operator, frozen for ``steps`` descent
+    iterations whose first line search starts at rung ``start``; also
+    reports the accepted step sizes.  The descent works in ``buffers``
+    when given."""
+    yop = row_operator(*derivative_kernel(s), np.shape(f)[0])
+    return descent_steps(f, yop, steps, params, eps_hu, start=start, buffers=buffers)
+
+
+@dataclass(frozen=True)
+class PyramidLevel:
+    """One anisotropic scale and its down-sampler."""
+
+    scale: int
+    sampler: RowOperator
+
+    def __post_init__(self):
+        if self.sampler.shape[0] < 2:
+            raise ValueError("down-sampled height must be >= 2")
+
+
+def make_pyramid_level(f: np.ndarray, s: int, eps_hu: float) -> PyramidLevel:
+    """The scale-``s`` level for ``f``'s height.  It only checks ``eps_hu``:
+    the pass takes its weights from its own first down-sampled image."""
+    _eps_mu(eps_hu)
+    return PyramidLevel(s, down_sampler(np.shape(f)[0], s))
+
+
+def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
+                params: LineSearchParams, start: int = 0, *,
+                buffers: Buffers | None = None) -> tuple[np.ndarray, list[float]]:
+    """``steps`` coarse-grid descent iterations pulled back to the fine grid.
+
+    Each iteration: down-sample, take the weighted-TV gradient with the
+    weights of the pass's first down-sampled image, find the step on the
+    coarse image, then update the fine image along the adjoint-up-sampled
+    direction.  The first line search starts at rung ``start``.  The descent
+    works in ``buffers`` when given.
+    """
+    down, height = level.sampler, np.shape(f)[0]
+    if height != down.shape[1]:
+        raise ValueError(f"image height {height} != level height {down.shape[1]} "
+                         f"(scale {level.scale})")
+    return descent_steps(f, forward_diff_op(down.shape[0]), steps, params, eps_hu,
+                         down if level.scale > 1 else None, start, buffers=buffers)
 
 
 def normalize_direction(g: np.ndarray,

@@ -23,9 +23,10 @@ from latomo.phantom import (
     roi_rect_for_grid,
 )
 from latomo.projector import Projector
-from latomo.ssatv1 import binomial_kernel, derivative_kernel
-from latomo.ssatv2 import down_sampler
 from latomo.tv import (
+    binomial_kernel,
+    derivative_kernel,
+    down_sampler,
     forward_diff_op,
     row_operator,
     tv_gradient,

@@ -418,6 +418,31 @@ class TestCompareRuns:
         for row in rows[1:]:
             assert row[1] == row[2]
 
+    # (CSV paths under tmp_path, the header they give, or None where compare
+    # must refuse); every file is a distinct convergence CSV, and a unique
+    # stem keeps its name
+    NAMING = [
+        (["a/conv.csv", "b/conv.csv", "b/other.csv"], ["iter", "a/conv", "b/conv", "other"]),
+        (["a/run/conv.csv", "b/run/conv.csv"], None),
+    ]
+
+    @pytest.mark.parametrize("names, header", NAMING, ids=["shared-stem", "shared-parent"])
+    def test_shared_stems_take_the_parent_name(self, tmp_path, capsys, names, header):
+        paths = [tmp_path / name for name in names]
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self.make_log(path, 3)
+        out = tmp_path / "merged.csv"
+        code = main(["compare", *map(str, paths), "--out", str(out)])
+        if header is None:
+            assert code == 1 and not out.exists()
+            err = capsys.readouterr().err
+            assert "both give the column run/conv" in err
+            assert all(str(path) in err for path in paths)
+            return
+        assert code == 0
+        assert out.read_text().splitlines()[0].split(",") == header
+
     def test_short_column_is_padded(self, tmp_path, caplog):
         a, b = tmp_path / "long.csv", tmp_path / "short.csv"
         self.make_log(a, 6)

@@ -5,6 +5,7 @@ import math
 from dataclasses import asdict
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,27 +157,38 @@ def test_geometry_rejects_any_bad_field(geom, name, data):
 
 
 # (angle_increment, physical memory in bytes or None where the platform
-# reports none, whether the 10-170 degree scan of 96 channels is accepted);
-# 1 degree gives 161 views, a sinogram of 123648 bytes
+# reports none, whether the 10-170 degree scan of 96 channels is accepted,
+# and the end of the rejection's message); 1 degree gives 161 views, a
+# sinogram of 123648 bytes
 VIEW_BOUND = [
-    (1.0, 161 * 96 * 8, True),
-    (1.0, 161 * 96 * 8 - 1, False),
-    (1e-9, None, True),  # no bound where the platform reports no memory
-    (1e-9, 2 ** 40, False),  # 160000000001 views
-    (1e-320, 2 ** 40, False),  # a view count that overflows
+    (1.0, 161 * 96 * 8, True, None),
+    (1.0, 161 * 96 * 8 - 1, False,
+     "161 views x 96 channels x 8 bytes, more than the 123647 bytes of physical memory"),
+    (1e-9, None, True, None),  # no memory bound where the platform reports none
+    (1e-9, 2 ** 40, False,  # 160000000001 views
+     "1.6e+11 views x 96 channels x 8 bytes, more than the 1099511627776 bytes of "
+     "physical memory"),
+    (1e-320, 2 ** 40, False,  # a view count that overflows
+     "inf views x 96 channels x 8 bytes, more than the 1099511627776 bytes of "
+     "physical memory"),
+    (1e-320, None, False,  # numpy's bound holds whatever the platform reports
+     f"inf views x 96 channels x 8 bytes, more than the {np.iinfo(np.intp).max} "
+     f"bytes of numpy's largest array"),
 ]
 
 
-@pytest.mark.parametrize("increment, memory, accepted", VIEW_BOUND)
+@pytest.mark.parametrize("increment, memory, accepted, message", VIEW_BOUND,
+                         ids=[f"{i}-{m}-{a}" for i, m, a, _ in VIEW_BOUND])
 def test_geometry_bounds_the_sinogram_by_physical_memory(monkeypatch, increment,
-                                                         memory, accepted):
+                                                         memory, accepted, message):
     monkeypatch.setattr(core, "_physical_memory", lambda: memory)
     build = partial(FanBeamGeometry, 400.0, 200.0, 96, 1.6, 10.0, 170.0, increment)
     if accepted:
-        assert build().detector_channels == 96
+        assert build().num_views >= 161
         return
-    with pytest.raises(ParameterError, match="physical memory") as info:
+    with pytest.raises(ParameterError) as info:
         build()
+    assert str(info.value).endswith(message)
     assert info.value.name == "angle_increment"
 
 

@@ -348,17 +348,18 @@ class TestGridWiderThanFan:
 DEGENERACY_GEOM = FanBeamGeometry(400.0, 200.0, 96, 1.6, 10.0, 170.0, 4.0)
 
 
-def traced_dense(proj, view_index):
-    """A view's matrix traced afresh, never through a symmetry partner."""
-    return ray_major(proj._trace(view_index).matrix).toarray()
+def traced_matrix(proj, view_index):
+    """A view's (channels, pixels) matrix traced afresh, never through a
+    symmetry partner."""
+    return ray_major(proj._trace(view_index).matrix)
 
 
-def applied_dense(proj, view_index):
-    """A view's matrix as the projector applies it: its traced view's stored
-    matrix with each row, an image in the traced view's frame, mapped into
-    the view's frame, and the channels reversed when the map is a
-    reflection.  The view's back-projection of one random residual must be
-    that matrix's, to rounding."""
+def applied_matrix(proj, view_index):
+    """A view's (channels, pixels) matrix as the projector applies it: its
+    traced view's stored matrix with each row, an image in the traced view's
+    frame, mapped into the view's frame, and the channels reversed when the
+    map is a reflection.  The view's back-projection of one random residual
+    must be that matrix's, to rounding."""
     flip_x, flip_y, transposed = frame = proj._symmetry[view_index][1]
     # pixel p of the traced view's frame is pixel columns[p] of the view's:
     # the view's pixel ids flipped in X and in Y, then transposed, as the
@@ -367,13 +368,13 @@ def applied_dense(proj, view_index):
     columns = columns[::-1 if flip_y else 1, ::-1 if flip_x else 1]
     columns = (columns.T if transposed else columns).ravel()
     stored = ray_major(proj._stored(view_index)[0].matrix)
-    dense = csr_array((stored.data, columns[stored.indices], stored.indptr),
-                      shape=stored.shape).toarray()[::-1 if sum(frame) % 2 else 1]
-    residual = np.random.default_rng(view_index).normal(size=dense.shape[0])
-    gap = proj.backproject_view(residual, view_index).ravel() - residual @ dense
-    # the weights are nonnegative, so |residual| @ dense bounds each sum's terms
-    assert np.all(np.abs(gap) <= 1e-12 * (np.abs(residual) @ dense)), view_index
-    return dense
+    matrix = csr_array((stored.data, columns[stored.indices], stored.indptr),
+                       shape=stored.shape)[::-1 if sum(frame) % 2 else 1]
+    residual = np.random.default_rng(view_index).normal(size=matrix.shape[0])
+    gap = proj.backproject_view(residual, view_index).ravel() - matrix.T @ residual
+    # the weights are nonnegative, so |residual| @ matrix bounds each sum's terms
+    assert np.all(np.abs(gap) <= 1e-12 * (matrix.T @ np.abs(residual))), view_index
+    return matrix
 
 
 def mapped_direction(frame, beta_deg):
@@ -459,9 +460,9 @@ def assert_views_equal_fresh_traces(proj, views, share=1e-12):
     row sums are its traced view's row divisors, bit for bit."""
     rng = np.random.default_rng(25)
     for view in views:
-        fresh = traced_dense(proj, view)
+        fresh = traced_matrix(proj, view)
         tol = share * fresh.max()
-        assert np.abs(applied_dense(proj, view) - fresh).max() <= tol, view
+        assert abs(applied_matrix(proj, view) - fresh).max() <= tol, view
         f = rng.uniform(0.0, 0.04, (proj.height, proj.width))
         npt.assert_allclose(proj.forward_view(f, view), fresh @ f.ravel(),
                             rtol=1e-12, atol=tol)
@@ -649,7 +650,7 @@ def test_trace_at_90_degrees_is_the_transposed_0_degree_view():
     assert proj._stored(1)[1:] == ((False, False, True), -1)
     fresh = ray_major(proj._trace(1).matrix)
     assert fresh.data.min() > 1e-9
-    npt.assert_array_equal(fresh.toarray() != 0, applied_dense(proj, 1) != 0)
+    npt.assert_array_equal(fresh.toarray() != 0, applied_matrix(proj, 1).toarray() != 0)
 
 
 def reference_trace(proj, view_index):

@@ -2,16 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.ssatv1 import (
-    binomial_kernel,
-    derivative_kernel,
-    ssatv1_pass,
-)
 from latomo.tv import (
     LineSearchParams,
+    binomial_kernel,
+    derivative_kernel,
     descent_steps,
     forward_diff_op,
     row_operator,
+    ssatv1_pass,
     tv_gradient,
     tv_value,
     tv_weights,

@@ -4,13 +4,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from latomo.ssatv1 import binomial_kernel
-from latomo.ssatv2 import PyramidLevel, down_sampler, make_pyramid_level, ssatv2_pass
 from latomo.tv import (
     Buffers,
     LineSearchParams,
+    PyramidLevel,
+    binomial_kernel,
     descent_steps,
+    down_sampler,
     forward_diff_op,
+    make_pyramid_level,
+    ssatv2_pass,
     tv_gradient,
     tv_value,
     tv_weights,

@@ -12,19 +12,22 @@ from latomo.core import MU_PER_HU, FanBeamGeometry, Sinogram
 from latomo.driver import ReconConfig, run_reconstruction
 from latomo.phantom import builtin_head_phantom, rasterize
 from latomo.projector import Projector
-from latomo.ssatv1 import derivative_kernel, ssatv1_pass
-from latomo.ssatv2 import down_sampler, make_pyramid_level, ssatv2_pass
 from latomo.tv import (
     Buffers,
     Differences,
     LineSearchParams,
     _rung,
     backtracking_line_search,
+    derivative_kernel,
     descent_steps,
+    down_sampler,
     forward_diff_op,
+    make_pyramid_level,
     normalize_direction,
     reweighted_value,
     row_operator,
+    ssatv1_pass,
+    ssatv2_pass,
     tv_gradient,
     tv_value,
     tv_weights,
