@@ -31,14 +31,14 @@ a pixel's back-projected value sums over the channels in order whichever
 band it is in.  So one core can take half of the rays (forward) or one
 band (back-projection, then the divide, scale and add of the SART step)
 while the other takes the rest, and every result has the bits of the
-ray-major, single-threaded products.  The second half runs on one daemon
-worker thread per process, shared by every projector and started on first
-use; scipy's kernels and numpy release the GIL while they run.  It is not
-started when the process may run on one CPU only (``os.sched_getaffinity``),
-and it is not used for steps that stream fewer than ``_MIN_SPLIT_ENTRIES``
-stored entries (plane parameters in the trace), whose hand-over costs more
-than it saves: both halves then run in turn on the calling thread, with the
-same bits.  A forked child starts its own worker on first use.
+ray-major, single-threaded products.  The second half runs on the
+process's worker thread, which :mod:`latomo.core` owns and shares with the
+regularizer; scipy's kernels and numpy release the GIL while they run.
+There is no worker when the process may run on one CPU only, and it is not
+used for steps that stream fewer than ``core._MIN_SPLIT_ENTRIES`` stored
+entries (plane parameters in the trace), whose hand-over costs more than
+it saves: both halves then run in turn on the calling thread, with the
+same bits.
 
 Tracing: all rays of a view are traced at once.  Each ray's parameters at
 the X and Y grid planes, then its entry and exit, fill one row of a single
@@ -48,10 +48,10 @@ length that end by the ray's crossing and after it.  Only those segments'
 ends are gathered out of the buffer, straight into the arrays that become
 their pixel ids and weights, and their midpoints, pixel ids and weights
 are computed there, for those alone.  Each core does this for half of the
-rays, in arrays the calling thread makes, so the worker's heap holds no
-more than a few of the gather's and ``np.repeat``'s temporaries.  The
-in-grid test is four min/max reductions per half; a mask is built only
-when one fails.  A 768-channel view of a 512 x 512 grid peaks at 25-26 MiB
+rays, in arrays the calling thread makes (the segments' positions and ray
+ids among them), so the worker allocates nothing and its heap stays
+empty.  The in-grid test is four min/max reductions per half; a mask is
+built only when one fails.  A 768-channel view of a 512 x 512 grid peaks at 25-26 MiB
 while it is traced, its matrix and sums (7.3 MiB) included, since the
 output arrays are made while the parameter buffer is still in use.
 
@@ -84,17 +84,14 @@ Every result is bit-reproducible, and independent of the CPU count.
 from __future__ import annotations
 
 import logging
-import os
-import queue
-import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 
-from .core import FanBeamGeometry, check_lattice
+from .core import FanBeamGeometry, _both_halves, check_lattice
 
 log = logging.getLogger(__name__)
 
@@ -137,88 +134,6 @@ _GRID_MAPS: tuple[tuple[Frame, float], ...] = (
 
 def _reflects(frame: Frame) -> bool:
     return sum(frame) % 2 == 1
-
-
-class _Worker:
-    """One daemon thread that runs the calls handed to it in turn."""
-
-    def __init__(self):
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="latomo-projector", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            call, arg, reply = self._calls.get()
-            try:
-                call(arg)
-            except BaseException as exc:  # the caller re-raises it
-                reply.put(exc)
-            else:
-                reply.put(None)
-
-    def start(self, call: Callable[[int], None], arg: int) -> queue.SimpleQueue:
-        """Hands ``call(arg)`` to the thread; the returned queue receives
-        None, or the exception it raised, once it is done."""
-        reply: queue.SimpleQueue = queue.SimpleQueue()
-        self._calls.put((call, arg, reply))
-        return reply
-
-
-# The process's worker: None until first use, then a _Worker, or False when
-# the process may run on one CPU only.
-_worker: _Worker | bool | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker():
-    """A forked child has none of its parent's threads: it starts its own
-    worker on first use."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Fewest stored entries (or plane parameters) a pair of halves streams for
-# the second one to run on the worker.  Handing a half over and back costs 25-90 us, and tasks
-# that are mostly Python contend for the GIL: a 64 x 64 SART view update
-# (7 k entries) took 355 us split and 85 us inline, a 128 x 128 one (29 k)
-# 307 and 217 us, and a 256 x 256 one (116 k) 675 and 799 us (2-core
-# x86-64 VM).
-_MIN_SPLIT_ENTRIES = 1 << 16
-
-
-def _both_halves(task: Callable[[int], None], entries: int) -> None:
-    """``task(1)`` on the worker thread while ``task(0)`` runs here, or both
-    here in turn when the process may run on one CPU only or the halves
-    stream fewer than ``_MIN_SPLIT_ENTRIES`` stored entries between them.
-    The two must write disjoint memory; an exception from either is raised
-    here once both are done."""
-    global _worker
-    if _worker is None:
-        with _worker_lock:
-            if _worker is None:
-                _worker = _Worker() if _cpus() >= 2 else False
-    if not _worker or entries < _MIN_SPLIT_ENTRIES:
-        task(0)
-        task(1)
-        return
-    reply = _worker.start(task, 1)
-    try:
-        task(0)
-    finally:
-        error = reply.get()
-    if error is not None:
-        raise error
 
 
 def _channel_half(channels: int, half: int) -> tuple[int, int]:
@@ -489,41 +404,47 @@ class Projector:
         # gathers and computes its rays' slice of each run half, in place:
         # the column slice first holds the segments' starts, the row slice
         # their ends, then midpoints, and the weight slice their lengths.
+        # This thread makes every per-entry array, the segments' positions
+        # in `runs` among them, so the worker only writes into them and its
+        # heap keeps nothing.
         starts = np.zeros((2, 3), dtype=np.intp)  # run half x the halves' rays
         starts[:, 1] = counts[:, :_channel_half(n_chan, 0)[1]].sum(axis=1)
         starts[:, 2] = counts.sum(axis=1)
         starts[1] += starts[0, 2]
         total = int(starts[1, 2])
         ix, iy, weights = np.empty(total), np.empty(total), np.empty(total)
+        at, factor = np.flatnonzero(runs), np.empty(total)
+        rows = alphas.ravel()
+        directions = (np.ascontiguousarray(vec[:, 0]), np.ascontiguousarray(vec[:, 1]))
         inside = [True, True]
 
         def cells(half):
-            lo, hi = _channel_half(n_chan, half)
-            rows = alphas[lo:hi].ravel()
             for run in (0, 1):
                 entries = slice(starts[run, half], starts[run, half + 1])
                 if entries.start == entries.stop:
                     continue
-                mask = runs[run, lo:hi].ravel()
-                column = np.compress(mask, rows, out=ix[entries])
-                row = np.compress(mask[:-1], rows[1:], out=iy[entries])
+                where, scale = at[entries], factor[entries]
+                where -= run * rows.size  # each run's mask spans `alphas`
+                column = np.take(rows, where, out=ix[entries], mode="clip")
+                row = np.take(rows[1:], where, out=iy[entries], mode="clip")
                 seg = np.subtract(row, column, out=weights[entries])
                 row += column
                 row *= 0.5
+                ray = np.floor_divide(where, width, out=where)
                 # the pixel that holds each midpoint t: floor((s + t * v - lo) / p)
                 for axis, cell, grid_lo in ((0, column, self.x_lo), (1, row, self.y_lo)):
-                    np.multiply(row, np.repeat(vec[lo:hi, axis], counts[run, lo:hi]),
+                    np.multiply(row, np.take(directions[axis], ray, out=scale, mode="clip"),
                                 out=cell)
                     cell += src[axis]
                     cell -= grid_lo
                     cell /= p
                     np.floor(cell, out=cell)
-                seg *= np.repeat(ray_len[lo:hi], counts[run, lo:hi])
+                seg *= np.take(ray_len, ray, out=scale, mode="clip")
                 inside[half] &= bool(column.min() >= 0 and column.max() < self.width
                                      and row.min() >= 0 and row.max() < self.height)
 
         _both_halves(cells, alphas.size)
-        del alphas, runs
+        del alphas, runs, rows, at, factor
         valid = None if all(inside) else (
             (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height))
         iy *= self.width

@@ -14,6 +14,29 @@ rescaled to l1 norm 2.  ssaTV-2 low-pass filters and sub-samples the image
 along Y only, finds the weighted-TV step on the coarse grid, and pulls it
 back through the sampler's exact adjoint, including the clamped-boundary
 bookkeeping.  At scale 1 both variants are the weighted-TV step, bit for bit.
+
+Two cores: every image-size step is elementwise or a :class:`RowOperator`
+product, whose output rows can be computed in any order.  So each block of
+steps runs as two row bands, the lower on the calling thread and the upper
+on the worker thread of :mod:`latomo.core` (the projector's), and writes
+each array's band alone.  A block ends wherever a Y product reads rows
+across the band edge: a trial image is one block and its differences,
+magnitude and weighting another; a gradient's terms are one and its
+divergence (with Yᵀ) another; ``|g|`` with each band's peak, the division
+by the peak, the update, each down-sample and the sample of an image are
+one each.  Every sum and ``vdot`` still runs over the whole array on the
+calling thread, and a peak is the larger of the bands' peaks, which is
+exact, so every bit is the inline run's.  A block runs once over the whole
+array, as on one core, when the process may run on one CPU only or the
+block works on fewer than ``core._MIN_SPLIT_PIXELS`` pixels (65,536:
+256 x 256).  Measured by one regularizer phase split and inline (2-core
+x86-64 VM, medians of 10 to 20): 512² wtv 52 against 78 ms; 256² wtv 13.1 against
+16.3 ms and ssatv1 l5 20.5 against 29.1 ms; 224² wtv 11.2 against 12.6 ms;
+192² wtv 9.8 against 8.5 ms and 128² ssatv1 l5 10.1 against 7.0 ms.  A
+trial's weighted magnitudes need one image-size buffer besides the trial
+itself, since one band's ``dy²`` would overwrite rows the other band's Y
+product still reads: the ``scratch`` buffer of :class:`Buffers`, or on a
+sampled descent the first rows of the idle ``pulled`` buffer.
 """
 
 from __future__ import annotations
@@ -25,9 +48,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
+from scipy.sparse._sparsetools import csr_matvecs
 
-from .core import MU_PER_HU, ParameterError, is_count
+from .core import MU_PER_HU, ParameterError, _row_bands, is_count
 
 # The pull-back check of a sampled descent reports on the ssatv2 logger, the
 # variant that samples.
@@ -70,10 +93,13 @@ class RowOperator:
 
     ``apply`` and ``apply_t`` take a 2-D input and write into ``out`` when
     it is given: a C-contiguous float64 buffer of the output's shape,
-    distinct from the input; else into a new one.  Both run scipy's own
-    kernel on the zeroed buffer and the one stored CSR matrix ``mat``, read
-    as its transpose's CSC by ``apply_t``, so their bits are ``mat @ f``'s
-    and ``mat.T @ v``'s.
+    distinct from the input; else into a new one.  Given ``rows``, a slice
+    of the output's rows, they zero and write those rows alone, reading
+    whichever input rows their taps reach.  Both run scipy's CSR kernel:
+    ``apply`` on the stored matrix ``_mat``, ``apply_t`` on its transpose
+    ``_mat_t`` with sorted indices, so every output row sums its terms in
+    input-row order, as scipy's CSC kernel on ``_mat`` does.  Their bits
+    are ``mat @ f``'s and ``mat.T @ v``'s, over any rows.
     """
 
     def __init__(self, taps, anchor: int, height: int, stride: int = 1):
@@ -87,15 +113,21 @@ class RowOperator:
         mat = sp.coo_matrix((data, (rows, cols)), shape=(kept, height)).tocsr()
         self.shape = mat.shape
         self._mat = mat
+        self._mat_t = mat.T.tocsr()
+        self._mat_t.sort_indices()
 
-    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _product(csr_matvecs, self._mat, self.shape, f, out)
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None,
+              rows: slice | None = None) -> np.ndarray:
+        return _product(self._mat, f, out, rows)
 
-    def apply_t(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _product(csc_matvecs, self._mat, self.shape[::-1], v, out)
+    def apply_t(self, v: np.ndarray, out: np.ndarray | None = None,
+                rows: slice | None = None) -> np.ndarray:
+        return _product(self._mat_t, v, out, rows)
 
 
-def _product(kernel, mat, shape, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _product(mat, x: np.ndarray, out: np.ndarray | None,
+             rows: slice | None) -> np.ndarray:
+    shape = mat.shape
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != shape[1]:
         raise ValueError(f"input must be 2-D with {shape[1]} rows, got shape "
@@ -106,8 +138,11 @@ def _product(kernel, mat, shape, x: np.ndarray, out: np.ndarray | None) -> np.nd
     elif out.shape != product or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape "
                          f"{product} for an input of shape {x.shape} (operator {shape})")
-    out.fill(0.0)
-    kernel(*shape, x.shape[1], mat.indptr, mat.indices, mat.data, x.ravel(), out.ravel())
+    lo, hi, _ = (slice(None) if rows is None else rows).indices(shape[0])
+    band = out[lo:hi]
+    band.fill(0.0)
+    csr_matvecs(hi - lo, shape[1], x.shape[1], mat.indptr[lo:hi + 1], mat.indices,
+                mat.data, x.ravel(), band.ravel())
     return out
 
 
@@ -191,24 +226,31 @@ class Differences:
     def __init__(self, shape):
         self.dx, self.dy, self.sq = np.empty(shape), np.empty(shape), np.empty(shape)
 
-    def fill(self, f: np.ndarray, yop: RowOperator,
-             scratch: np.ndarray | None = None) -> Differences:
-        """Differences of ``f``.  ``scratch`` is an image-size buffer for
-        ``dy²``; it may be ``f`` itself, which is read first."""
-        np.subtract(f[:, 1:], f[:, :-1], out=self.dx[:, 1:])
-        self.dx[:, 0] = 0.0
-        yop.apply(f, out=self.dy)
-        np.multiply(self.dx, self.dx, out=self.sq)
-        self.sq += np.multiply(self.dy, self.dy, out=scratch)
+    def fill(self, f: np.ndarray, yop: RowOperator, scratch: np.ndarray | None = None,
+             rows: slice = slice(None)) -> Differences:
+        """Differences of ``f`` in ``rows``, every row by default.
+        ``scratch`` is an image-size buffer for ``dy²``, distinct from
+        ``f``: a row's Y difference reads the rows of ``f`` around it."""
+        dx, dy, sq = self.dx[rows], self.dy[rows], self.sq[rows]
+        # along the flattened rows, so numpy needs no buffers; each row's
+        # first difference, which straddles two rows, is then zeroed
+        band = f[rows].reshape(-1)
+        np.subtract(band[1:], band[:-1], out=dx.reshape(-1)[1:])
+        dx[:, 0] = 0.0
+        yop.apply(f, out=self.dy, rows=rows)
+        np.multiply(dx, dx, out=sq)
+        sq += np.multiply(dy, dy, out=None if scratch is None else scratch[rows])
         return self
 
-    def magnitude(self, delta_mu: float = 0.0,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """The ``delta_mu``-smoothed gradient magnitude sqrt(sq + delta_mu²)."""
+    def magnitude(self, delta_mu: float = 0.0, out: np.ndarray | None = None,
+                  rows: slice = slice(None)) -> np.ndarray:
+        """The ``delta_mu``-smoothed gradient magnitude sqrt(sq + delta_mu²)
+        in ``rows``, into those rows of ``out``; returns them."""
+        sq, out = self.sq[rows], None if out is None else out[rows]
         if delta_mu:  # a sum of squares is never -0.0, so + 0.0 would change no bit
-            out = np.add(self.sq, delta_mu * delta_mu, out=out)
+            out = np.add(sq, delta_mu * delta_mu, out=out)
             return np.sqrt(out, out=out)
-        return np.sqrt(self.sq, out=out)
+        return np.sqrt(sq, out=out)
 
 
 class Buffers:
@@ -248,9 +290,10 @@ def _reweight(magnitude: np.ndarray, eps_mu: float,
     return np.divide(1.0, out, out=out)
 
 
-def _weighted_sum(w, magnitude: np.ndarray) -> float:
-    """sum(w * magnitude), overwriting ``magnitude``."""
-    return float(np.sum(np.multiply(w, magnitude, out=magnitude)))
+def _in_bands(task: Callable[[slice], None], image: np.ndarray) -> None:
+    """One block: ``task(rows)`` over the rows of ``image`` (the array the
+    block writes), split into two row bands when that pays."""
+    _row_bands(task, len(image), image.size)
 
 
 def _sample(f: np.ndarray, yop: RowOperator, eps_mu: float, buffers: Buffers,
@@ -258,13 +301,31 @@ def _sample(f: np.ndarray, yop: RowOperator, eps_mu: float, buffers: Buffers,
     """The weights 1 / (|grad f| + eps_mu) of ``f`` and its TV value under
     them, from one difference pass into the first set of differences of
     ``buffers``; the weights are its ``weights`` buffer.  ``scratch`` is an
-    image-size buffer for dy² and then |grad f|; by default the differences'
-    own ``dy``, which the weights do not need."""
+    image-size buffer for dy² and then w·|grad f|; by default the
+    differences' own ``dy``, which the weights do not need."""
     diffs = buffers.differences(0, np.shape(f))
     scratch = diffs.dy if scratch is None else scratch
-    magnitude = diffs.fill(f, yop, scratch=scratch).magnitude(out=scratch)
-    w = _reweight(magnitude, eps_mu, out=buffers.array("weights", np.shape(f)))
-    return w, _weighted_sum(w, magnitude)
+    w = buffers.array("weights", np.shape(f))
+
+    def sample(rows):
+        magnitude = diffs.fill(f, yop, scratch, rows).magnitude(out=scratch, rows=rows)
+        _reweight(magnitude, eps_mu, out=w[rows])
+        np.multiply(w[rows], magnitude, out=magnitude)
+
+    _in_bands(sample, scratch)
+    return w, float(np.sum(scratch))
+
+
+def _value(f: np.ndarray, w: np.ndarray, yop: RowOperator, delta_mu: float,
+           diffs: Differences, scratch: np.ndarray) -> float:
+    """:func:`tv_value` into given buffers: one block leaves w·|grad f| in
+    ``scratch``, which is summed whole here."""
+    def weighted(rows):
+        magnitude = diffs.fill(f, yop, scratch, rows).magnitude(delta_mu, scratch, rows)
+        np.multiply(w[rows], magnitude, out=magnitude)
+
+    _in_bands(weighted, scratch)
+    return float(np.sum(scratch))
 
 
 def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
@@ -274,9 +335,10 @@ def tv_value(f: np.ndarray, w: np.ndarray, yop: RowOperator,
     :func:`tv_gradient` differentiates exactly.
 
     A caller that keeps the differences of ``f`` passes ``diffs`` to receive
-    them, and an image-size ``scratch`` buffer, which may be ``f`` itself."""
-    diffs = (Differences(np.shape(f)) if diffs is None else diffs).fill(f, yop, scratch)
-    return _weighted_sum(w, diffs.magnitude(delta_mu, out=scratch))
+    them, and an image-size ``scratch`` buffer distinct from ``f``."""
+    return _value(f, w, yop, delta_mu,
+                  Differences(np.shape(f)) if diffs is None else diffs,
+                  np.empty(np.shape(f)) if scratch is None else scratch)
 
 
 def tv_weights(f: np.ndarray, eps_hu: float, yop: RowOperator, *,
@@ -300,20 +362,34 @@ def tv_gradient(f: np.ndarray, w: np.ndarray, yop: RowOperator,
     """Exact gradient of the ``delta_mu``-smoothed weighted TV value.
 
     ``diffs``, when given, holds the differences of ``f`` already, and the
-    gradient uses them up: their buffers end up holding its terms.  ``out``
-    receives the gradient."""
+    gradient uses them up: their buffers end up holding its terms.  ``out``,
+    C-contiguous, receives the gradient."""
     if diffs is None:
         diffs = Differences(np.shape(f)).fill(f, yop)
-    norm = diffs.magnitude(delta_mu, out=diffs.sq)
-    tx = np.multiply(w, diffs.dx, out=diffs.dx)
-    tx /= norm
-    ty = np.multiply(w, diffs.dy, out=diffs.dy)
-    ty /= norm
     if out is None:
-        out = np.empty_like(tx)
-    np.copyto(out, tx)
-    out[:, :-1] -= tx[:, 1:]
-    out += yop.apply_t(ty, out=norm)
+        out = np.empty(np.shape(f))
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    tx, ty, norm = diffs.dx, diffs.dy, diffs.sq
+
+    def terms(rows):
+        band_norm = diffs.magnitude(delta_mu, norm, rows)
+        for t in (tx[rows], ty[rows]):
+            np.multiply(w[rows], t, out=t)
+            t /= band_norm
+
+    def divergence(rows):
+        # tx - tx shifted left, along the flattened rows; each row's last
+        # term, which straddles two rows, is then tx itself
+        band, band_tx = out[rows], tx[rows]
+        np.subtract(band_tx.reshape(-1)[:-1], band_tx.reshape(-1)[1:],
+                    out=band.reshape(-1)[:-1])
+        band[:, -1] = band_tx[:, -1]
+        # Yᵀ·ty reads the rows of ty around these
+        band += yop.apply_t(ty, out=norm, rows=rows)[rows]
+
+    _in_bands(terms, out)
+    _in_bands(divergence, out)
     return out
 
 
@@ -346,11 +422,11 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
     value) and its gradient.  Without a down-sampler an accepted trial's
     give the next gradient, and its value starts the next search.  The
     descent never writes ``f``.  It works in the gradient (which also holds
-    each trial image), the direction, the weights and two sets of
-    differences, all taken from ``buffers``: the run's, or its own when none
-    is given.  Trials alternate between the two sets; the
-    accepted trial is the last or the second-last one its search evaluated,
-    so its set is intact.  A trial's image is not kept: the accepted one is
+    each trial image), the direction, the weights, a scratch buffer for each
+    trial's weighted magnitudes and two sets of differences, all taken from
+    ``buffers``: the run's, or its own when none is given.  Trials alternate
+    between the two sets; the accepted trial is the last or the second-last
+    one its search evaluated, so its set is intact.  A trial's image is not kept: the accepted one is
     recomputed as the iterate, a new array unless no step is taken.
 
     With a down-sampler ``down`` the value, weights and search live on the
@@ -369,8 +445,17 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
     shape = f.shape if down is None else (down.shape[0], f.shape[1])
     grad, ghat = buffers.array("gradient", shape), buffers.array("direction", shape)
     pair = (buffers.differences(0, shape), buffers.differences(int(down is None), shape))
-    if down is not None:
+    if down is None:
+        scratch = buffers.array("scratch", shape)
+    else:
         sampled, pulled = buffers.array("sampled", shape), buffers.array("pulled", f.shape)
+        # the pull-back is idle while a search runs, so its first rows
+        # serve as the trials' scratch
+        scratch = pulled.reshape(-1)[:grad.size].reshape(shape)
+
+        def resample(image):
+            _in_bands(lambda rows: down.apply(image, out=sampled, rows=rows), sampled)
+            return sampled
     accepted: list[float] = []
     rung, owned = start, False
 
@@ -379,12 +464,12 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
         # f0) fills pair[n % 2], so Step.index names the accepted set
         nonlocal tried
         tried += 1
-        return tv_value(trial, w, yop, diffs=pair[tried % 2], scratch=trial)
+        return tv_value(trial, w, yop, diffs=pair[tried % 2], scratch=scratch)
 
     # the first (sampled) iterate's differences, its weights, frozen for
     # every step, and its value
-    w, f0 = _sample(f if down is None else down.apply(f, out=sampled), yop, delta_mu,
-                    buffers, scratch=grad)
+    w, f0 = _sample(f if down is None else resample(f), yop, delta_mu, buffers,
+                    scratch=grad)
     diffs = pair[0]
     for _ in range(steps):
         x = f if down is None else sampled
@@ -398,19 +483,25 @@ def descent_steps(f: np.ndarray, yop: RowOperator, steps: int,
             break
         t, rung = float(step), step.rung
         accepted.append(step)
+        new = f if owned else np.empty(f.shape)
+
+        def update(rows):
+            if down is None:
+                band = np.multiply(ghat[rows], t, out=ghat[rows])
+            else:  # Dᵀ·ghat reads the coarse rows around these
+                band = down.apply_t(ghat, out=pulled, rows=rows)[rows]
+                band *= t
+            np.subtract(f[rows], band, out=new[rows])
+
+        _in_bands(update, new)
+        f, owned = new, True
         if down is None:
-            update = np.multiply(ghat, t, out=ghat)
             diffs, f0 = pair[step.index % 2], step.value
         else:
-            update = down.apply_t(ghat, out=pulled)
-            update *= t
-        f = np.subtract(f, update, out=f if owned else None)
-        owned = True
-        if down is not None:
             # the pulled-back update re-sampled is the next step's iterate;
             # it may overshoot the coarse step's value
-            diffs = pair[0].fill(down.apply(f, out=sampled), yop, scratch=grad)
-            f0 = _weighted_sum(w, diffs.magnitude(out=grad))
+            diffs = pair[0]
+            f0 = _value(resample(f), w, yop, 0.0, diffs, grad)
             if f0 > step.value:
                 _pullback_log.debug("coarse objective rose after pull-back: %.6g > %.6g",
                                     f0, step.value)
@@ -471,12 +562,20 @@ def ssatv2_pass(f: np.ndarray, level: PyramidLevel, eps_hu: float, steps: int,
 def normalize_direction(g: np.ndarray,
                         out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Max-abs scaling of the descent direction, into ``out`` when given;
-    flags an all-zero gradient, whose direction is all zeros."""
-    scaled = np.abs(g, out=out)
-    peak = float(np.max(scaled))
+    flags an all-zero gradient, whose direction is all zeros.  The peak is
+    the larger of the row bands' peaks, which is exact."""
+    scaled = np.empty(np.shape(g)) if out is None else out
+    peaks = np.zeros(2)  # |g| >= 0, so an unused band's 0 changes no peak
+
+    def magnitudes(rows):
+        peaks[int(rows.start > 0)] = np.max(np.abs(g[rows], out=scaled[rows]))
+
+    _in_bands(magnitudes, scaled)
+    peak = float(np.max(peaks))
     if peak == 0.0:
         return scaled, True
-    return np.divide(g, peak, out=scaled), False
+    _in_bands(lambda rows: np.divide(g[rows], peak, out=scaled[rows]), scaled)
+    return scaled, False
 
 
 class Step(float):
@@ -538,8 +637,14 @@ def backtracking_line_search(f: np.ndarray, g: np.ndarray, ghat: np.ndarray,
     def attempt(k: int) -> Step | None:
         nonlocal tried
         t = _rung(params, k)
-        image = np.multiply(ghat, t, out=trial)
-        value = objective(np.subtract(f, image, out=image))
+        image = np.empty(np.shape(f)) if trial is None else trial
+
+        def form(rows):
+            band = np.multiply(ghat[rows], t, out=image[rows])
+            np.subtract(f[rows], band, out=band)
+
+        _in_bands(form, image)
+        value = objective(image)
         tried += 1
         if not value <= f0 - params.alpha * t * slope:
             return None

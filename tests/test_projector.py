@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
+from latomo import core
 from latomo import projector as projector_module
 from latomo.core import FanBeamGeometry, ParameterError
 from latomo.projector import Projector
@@ -857,20 +858,25 @@ _shared_worker: list = []
 def shared_worker():
     """One worker thread for every test that splits, whatever the CPU count."""
     if not _shared_worker:
-        _shared_worker.append(projector_module._Worker())
+        _shared_worker.append(core._Worker())
     return _shared_worker[0]
+
+
+# The module globals that decide whether a step splits.
+SPLIT_RULES = ("_worker", "_MIN_SPLIT_ENTRIES", "_MIN_SPLIT_PIXELS")
 
 
 @contextmanager
 def split_everything():
-    """Every product and trace split between this thread and a worker,
-    whatever the CPU count and size."""
-    saved = projector_module._worker, projector_module._MIN_SPLIT_ENTRIES
-    projector_module._worker, projector_module._MIN_SPLIT_ENTRIES = shared_worker(), 0
+    """Every product, trace and regularizer block split between this thread
+    and a worker, whatever the CPU count and size."""
+    saved = [getattr(core, name) for name in SPLIT_RULES]
+    core._worker, core._MIN_SPLIT_ENTRIES, core._MIN_SPLIT_PIXELS = shared_worker(), 0, 0
     try:
         yield
     finally:
-        projector_module._worker, projector_module._MIN_SPLIT_ENTRIES = saved
+        for name, value in zip(SPLIT_RULES, saved):
+            setattr(core, name, value)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -964,9 +970,11 @@ def sweep(proj, sino, iterations=2):
 
 
 def use_worker(monkeypatch):
-    """Every product and trace split, whatever the CPU count and size."""
-    monkeypatch.setattr(projector_module, "_worker", shared_worker())
-    monkeypatch.setattr(projector_module, "_MIN_SPLIT_ENTRIES", 0)
+    """Every product, trace and regularizer block split, whatever the CPU
+    count and size."""
+    monkeypatch.setattr(core, "_worker", shared_worker())
+    monkeypatch.setattr(core, "_MIN_SPLIT_ENTRIES", 0)
+    monkeypatch.setattr(core, "_MIN_SPLIT_PIXELS", 0)
 
 
 @pytest.fixture
@@ -989,7 +997,7 @@ def run_scene(truth, sino):
 
 def test_threaded_and_inline_give_the_same_bits(monkeypatch, sweep_scene):
     truth, sino = sweep_scene
-    monkeypatch.setattr(projector_module, "_worker", False)
+    monkeypatch.setattr(core, "_worker", False)
     inline = run_scene(truth, sino)
     use_worker(monkeypatch)
     threaded = run_scene(truth, sino)
@@ -1055,7 +1063,7 @@ def test_worker_exception_is_raised_not_hung(threaded, monkeypatch, sweep_scene)
     kernel = projector_module.csc_matvec
 
     def fails_on_the_worker(*args):
-        if threading.current_thread().name == "latomo-projector":
+        if threading.current_thread().name == "latomo-worker":
             raise RuntimeError("worker half failed")
         return kernel(*args)
 
