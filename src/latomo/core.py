@@ -88,15 +88,12 @@ def _physical_memory() -> int | None:
 
 # -- the second core ---------------------------------------------------------
 
-def _getcpu_function():
-    """The C library's ``sched_getcpu``, or None where there is none."""
-    try:
-        return ctypes.CDLL(None).sched_getcpu
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-_getcpu = _getcpu_function()
+# The C library's ``sched_getcpu``, or None where a thread's CPUs cannot be
+# read or chosen.
+try:
+    _getcpu = ctypes.CDLL(None).sched_getcpu if hasattr(os, "sched_setaffinity") else None
+except (AttributeError, OSError, TypeError):
+    _getcpu = None
 
 
 class _Worker:
@@ -142,7 +139,7 @@ class _Worker:
     def start(self, call: Callable[[Any], None], arg) -> queue.SimpleQueue:
         """Hands ``call(arg)`` to the thread; the returned queue receives
         None, or the exception it raised, once it is done."""
-        if _getcpu is not None and hasattr(os, "sched_setaffinity"):
+        if _getcpu is not None:
             cpu = _getcpu()
             if cpu != self._avoided:
                 self._leave(cpu)
