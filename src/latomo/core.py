@@ -11,11 +11,17 @@ Images are stored as linear attenuation in mm^-1; Hounsfield units are a
 display/metric convention converted at the boundaries.
 
 The second core: one daemon worker thread per process, started on first use
-and shared by :mod:`latomo.projector` and :mod:`latomo.tv`, takes one half of
-a split step while the calling thread runs the other.  Each module decides
-what a half is; the size rules that say when a split pays live here.  The
-worker is not started when the process may run on one CPU only
-(``os.sched_getaffinity``), and a forked child starts its own.
+and shared by :mod:`latomo.projector` and :mod:`latomo.tv`.  Every split
+step is one call of ``_split(task, n, size)``, where ``task`` takes a slice
+of ``range(n)`` (a view's rays, its two run halves, or an image's rows) and
+writes only that part: ``task(slice(0, n // 2))`` runs on the calling
+thread while ``task(slice(n // 2, n))`` runs on the worker.  The size rule:
+a step splits only when the process may run on two CPUs
+(``os.sched_getaffinity``), ``n`` is at least 2 and ``size`` is at least
+``_MIN_SPLIT`` (65,536 stored entries for a projector product, plane
+parameters for a trace, pixels for a regularizer block); otherwise
+``task(slice(0, n))`` runs once on the calling thread, with the same bits.
+The worker is not started on one CPU, and a forked child starts its own.
 """
 
 from __future__ import annotations
@@ -125,20 +131,21 @@ class _Worker:
     def _serve(self):
         while True:
             call, arg, reply = self._calls.get()
+            result = error = None
             try:
-                call(arg)
-                error = None
+                result = call(arg)
             except BaseException as exc:  # the caller re-raises it
                 error = exc
             # a call's closure holds the caller's arrays: drop it before the
             # caller goes on, not when the next call arrives
             del call, arg
-            reply.put(error)
-            del reply, error
+            reply.put((result, error))
+            del reply, result, error
 
-    def start(self, call: Callable[[Any], None], arg) -> queue.SimpleQueue:
+    def start(self, call: Callable[[Any], Any], arg) -> queue.SimpleQueue:
         """Hands ``call(arg)`` to the thread; the returned queue receives
-        None, or the exception it raised, once it is done."""
+        ``(result, None)``, or ``(None, exception)`` if it raised, once it
+        is done."""
         if _getcpu is not None:
             cpu = _getcpu()
             if cpu != self._avoided:
@@ -173,66 +180,43 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Fewest stored entries (or plane parameters) a pair of projector halves
-# streams for the second one to run on the worker.  Handing a half over and
-# back costs 25-90 us, and tasks that are mostly Python contend for the GIL:
-# a 64 x 64 SART view update (7 k entries) took 355 us split and 85 us
-# inline, a 128 x 128 one (29 k) 307 and 217 us, and a 256 x 256 one (116 k)
-# 675 and 799 us (2-core x86-64 VM).
-_MIN_SPLIT_ENTRIES = 1 << 16
+# The size rule's least size (see the module docstring).  Handing a half
+# over and back costs tens of microseconds, and tasks that are mostly Python
+# contend for the GIL.  With the worker off the caller's CPU, a SART view
+# update of the desk scan scaled to N x N took, split against inline
+# (medians over 20-30 alternating 161-view sweeps, 2-core x86-64 VM):
+# 64² (8 k entries) 121-162 against 38-63 us, 128² (33 k) 154-160 against
+# 121-128 us, 192² (74 k) 266-330 against 300-315 us and 256² (132 k)
+# 430-491 against 581-613 us, so the break-even sits near this value.  One
+# regularizer phase took, split against inline (medians of 10 to 20): 512²
+# wtv 52 against 78 ms; 256² wtv 13.1 against 16.3 ms and ssatv1 l5 20.5
+# against 29.1 ms; 224² wtv 11.2 against 12.6 ms; 192² wtv 9.8 against
+# 8.5 ms and 128² ssatv1 l5 10.1 against 7.0 ms.
+_MIN_SPLIT = 1 << 16
 
-# Fewest pixels a regularizer block works on for its upper row band to run
-# on the worker.  See the "Two cores" paragraph of latomo.tv for the figures.
-_MIN_SPLIT_PIXELS = 1 << 16
 
-
-def _split_worker(size: int, minimum: int) -> _Worker | None:
-    """The worker, when the process may run on two CPUs and ``size``
-    reaches ``minimum``; else None."""
+def _split(task: Callable[[slice], Any], n: int, size: int) -> list:
+    """The results of ``task`` over slices that cover ``range(n)``, in
+    order: ``task(slice(n // 2, n))`` on the worker thread while
+    ``task(slice(0, n // 2))`` runs here, or ``task(slice(0, n))`` once here
+    when there is no worker, ``size`` is below ``_MIN_SPLIT`` or ``n`` is
+    below 2.  The parts must write disjoint memory.  An exception from
+    either part is raised here once both are done."""
     global _worker
     if _worker is None:
         with _worker_lock:
             if _worker is None:
                 _worker = _Worker() if _cpus() >= 2 else False
-    return _worker if _worker and size >= minimum else None
-
-
-def _beside(worker: _Worker, task: Callable[[Any], None], here, there) -> None:
-    """``task(there)`` on ``worker`` while ``task(here)`` runs on this
-    thread; an exception from either is raised here once both are done."""
-    reply = worker.start(task, there)
+    if not _worker or size < _MIN_SPLIT or n < 2:
+        return [task(slice(0, n))]
+    reply = _worker.start(task, slice(n // 2, n))
     try:
-        task(here)
+        here = task(slice(0, n // 2))
     finally:
-        error = reply.get()
+        there, error = reply.get()
     if error is not None:
         raise error
-
-
-def _both_halves(task: Callable[[int], None], entries: int) -> None:
-    """``task(1)`` on the worker thread while ``task(0)`` runs here, or both
-    here in turn when the process may run on one CPU only or the halves
-    stream fewer than ``_MIN_SPLIT_ENTRIES`` stored entries between them.
-    The two must write disjoint memory."""
-    worker = _split_worker(entries, _MIN_SPLIT_ENTRIES)
-    if worker is None:
-        task(0)
-        task(1)
-    else:
-        _beside(worker, task, 0, 1)
-
-
-def _row_bands(task: Callable[[slice], None], rows: int, pixels: int) -> None:
-    """``task(band)`` over row slices that cover ``rows`` rows: the upper
-    half on the worker thread while the lower half runs here, or
-    ``task(slice(0, rows))`` once here when the process may run on one CPU
-    only, the block works on fewer than ``_MIN_SPLIT_PIXELS`` pixels or
-    there is one row.  A band must write only its own rows."""
-    worker = _split_worker(pixels, _MIN_SPLIT_PIXELS)
-    if worker is None or rows < 2:
-        task(slice(0, rows))
-    else:
-        _beside(worker, task, slice(0, rows // 2), slice(rows // 2, rows))
+    return [here, there]
 
 
 def hu_to_mu(hu):

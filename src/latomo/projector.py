@@ -31,14 +31,13 @@ a pixel's back-projected value sums over the channels in order whichever
 band it is in.  So one core can take half of the rays (forward) or one
 band (back-projection, then the divide, scale and add of the SART step)
 while the other takes the rest, and every result has the bits of the
-ray-major, single-threaded products.  The second half runs on the
-process's worker thread, which :mod:`latomo.core` owns and shares with the
+ray-major, single-threaded products.  Each such step is a task over a
+slice of the rays (or of the two run halves) handed to ``core._split``,
+which runs the second half on the process's worker thread, shared with the
 regularizer; scipy's kernels and numpy release the GIL while they run.
-There is no worker when the process may run on one CPU only, and it is not
-used for steps that stream fewer than ``core._MIN_SPLIT_ENTRIES`` stored
-entries (plane parameters in the trace), whose hand-over costs more than
-it saves: both halves then run in turn on the calling thread, with the
-same bits.
+Below the size rule of :mod:`latomo.core`, counted in stored entries
+(plane parameters in the trace), the task runs once over every ray or
+band on the calling thread, with the same bits.
 
 Tracing: all rays of a view are traced at once.  Each ray's parameters at
 the X and Y grid planes, then its entry and exit, fill one row of a single
@@ -91,7 +90,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_matvecs
 
-from .core import FanBeamGeometry, _both_halves, check_lattice
+from .core import FanBeamGeometry, _split, check_lattice
 
 log = logging.getLogger(__name__)
 
@@ -136,41 +135,36 @@ def _reflects(frame: Frame) -> bool:
     return sum(frame) % 2 == 1
 
 
-def _channel_half(channels: int, half: int) -> tuple[int, int]:
-    """The channels [lo, hi) of one half of a view's rays."""
-    mid = channels // 2
-    return (0, mid) if half == 0 else (mid, channels)
-
-
-def _add_ray_sums(matrix: csr_array, x: np.ndarray, out: np.ndarray,
-                  lo: int, hi: int) -> None:
-    """Adds to ``out`` ((hi - lo,) or (hi - lo, k), C-contiguous) the sums of
-    ``x`` ((pixels,) or (pixels, k), C-contiguous) along the rays lo..hi-1:
-    each ray's first run, then its second, so every sum runs in the ray's
-    order and has the bits of the ray-major product."""
+def _add_ray_sums(matrix: csr_array, x: np.ndarray, out: np.ndarray, rays: slice) -> None:
+    """Adds to ``out`` ((n,) or (n, k), C-contiguous) the sums of ``x``
+    ((pixels,) or (pixels, k), C-contiguous) along the n rays ``rays``: each
+    ray's first run, then its second, so every sum runs in the ray's order
+    and has the bits of the ray-major product."""
     channels, pixels = matrix.shape[0] // 2, matrix.shape[1]
-    for first in (lo, channels + lo):
-        indptr = matrix.indptr[first:first + hi - lo + 1]
+    for first in (rays.start, channels + rays.start):
+        indptr = matrix.indptr[first:first + len(out) + 1]
         if x.ndim == 1:
-            csr_matvec(hi - lo, pixels, indptr, matrix.indices, matrix.data, x, out)
+            csr_matvec(len(out), pixels, indptr, matrix.indices, matrix.data, x, out)
         else:
-            csr_matvecs(hi - lo, pixels, x.shape[1], indptr, matrix.indices,
+            csr_matvecs(len(out), pixels, x.shape[1], indptr, matrix.indices,
                         matrix.data, x.ravel(), out.ravel())
 
 
 def _back_band(matrix: csr_array, bands: Bands, residual: np.ndarray, out: np.ndarray,
-               half: int) -> np.ndarray:
-    """Writes the back-projection of ``residual`` (channels,) through one
-    run half into the rows of ``out`` (height, width, C-contiguous) that
-    half owns, and returns those rows.  Each pixel sums in channel order."""
+               halves: slice) -> slice:
+    """Writes the back-projection of ``residual`` (channels,) through the
+    run halves ``halves`` (of 0 and 1) into the rows of ``out`` (height,
+    width, C-contiguous) that they own, and returns those rows.  Each
+    pixel sums in channel order."""
     channels = matrix.shape[0] // 2
-    top, bottom = bands[half]
-    band = out[top:bottom]
-    band.fill(0.0)
-    csc_matvec(matrix.shape[1], channels,
-               matrix.indptr[half * channels:(half + 1) * channels + 1],
-               matrix.indices, matrix.data, residual, out.ravel())
-    return band
+    tops, bottoms = zip(*bands[halves])
+    rows = slice(min(tops), max(bottoms))  # the bands are adjacent
+    out[rows].fill(0.0)
+    for half in range(2)[halves]:
+        csc_matvec(matrix.shape[1], channels,
+                   matrix.indptr[half * channels:(half + 1) * channels + 1],
+                   matrix.indices, matrix.data, residual, out.ravel())
+    return rows
 
 
 def _bands(middle: int, height: int, first_high: bool) -> Bands:
@@ -373,31 +367,30 @@ class Projector:
         runs = np.zeros((2, n_chan, width), dtype=bool)
         counts = np.empty((2, n_chan), dtype=np.intp)
 
-        def fill(half):
-            lo, hi = _channel_half(n_chan, half)
-            rows = alphas[lo:hi]
+        def fill(rays):
+            rows = alphas[rays]
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(x_planes - src[0], vec[lo:hi, 0:1], out=rows[:, :nx])
-                np.divide(y_planes - src[1], vec[lo:hi, 1:2], out=rows[:, nx:nx + ny])
-            rows[:, -2:-1] = t_enter[lo:hi]
-            rows[:, -1:] = t_exit[lo:hi]
+                np.divide(x_planes - src[0], vec[rays, 0:1], out=rows[:, :nx])
+                np.divide(y_planes - src[1], vec[rays, 1:2], out=rows[:, nx:nx + ny])
+            rows[:, -2:-1] = t_enter[rays]
+            rows[:, -1:] = t_exit[rays]
             # No segment of positive length comes from a ray that misses (it
             # clamps to [0, 0]), nor from a ray parallel to an axis, whose
             # division by zero there gives +-inf, which clamps to its entry
             # or exit, or nan, which sorts last and compares false.
-            np.maximum(rows, t_enter[lo:hi], out=rows)
-            np.minimum(rows, t_exit[lo:hi], out=rows)
+            np.maximum(rows, t_enter[rays], out=rows)
+            np.minimum(rows, t_exit[rays], out=rows)
             rows.sort(axis=1)
             # distinct doubles never subtract to 0, so this is `diff > 0`
-            np.greater(rows[:, 1:], rows[:, :-1], out=keep[lo:hi])
-            first, second = runs[0, lo:hi, :-1], runs[1, lo:hi, :-1]
-            np.less_equal(rows[:, 1:], cross[lo:hi, None], out=first)
+            np.greater(rows[:, 1:], rows[:, :-1], out=keep[rays])
+            first, second = runs[0, rays, :-1], runs[1, rays, :-1]
+            np.less_equal(rows[:, 1:], cross[rays, None], out=first)
             np.logical_not(first, out=second)
-            first &= keep[lo:hi]
-            second &= keep[lo:hi]
-            counts[:, lo:hi] = np.count_nonzero(runs[:, lo:hi], axis=2)
+            first &= keep[rays]
+            second &= keep[rays]
+            counts[:, rays] = np.count_nonzero(runs[:, rays], axis=2)
 
-        _both_halves(fill, alphas.size)
+        _split(fill, n_chan, alphas.size)
         del keep
         # Each kept segment's pixel and weight, in the order of the matrix:
         # all first runs, ray by ray, then all second runs.  Each core
@@ -406,21 +399,22 @@ class Projector:
         # their ends, then midpoints, and the weight slice their lengths.
         # This thread makes every per-entry array, the segments' positions
         # in `runs` among them, so the worker only writes into them and its
-        # heap keeps nothing.
-        starts = np.zeros((2, 3), dtype=np.intp)  # run half x the halves' rays
-        starts[:, 1] = counts[:, :_channel_half(n_chan, 0)[1]].sum(axis=1)
-        starts[:, 2] = counts.sum(axis=1)
-        starts[1] += starts[0, 2]
-        total = int(starts[1, 2])
+        # heap keeps nothing.  Run r (ray r, or ray r - channels in the
+        # second half) holds the kept entries ends[r]:ends[r + 1].
+        ends = np.zeros(2 * n_chan + 1, dtype=np.intp)
+        np.cumsum(counts, out=ends[1:])
+        total = int(ends[-1])
         ix, iy, weights = np.empty(total), np.empty(total), np.empty(total)
         at, factor = np.flatnonzero(runs), np.empty(total)
         rows = alphas.ravel()
         directions = (np.ascontiguousarray(vec[:, 0]), np.ascontiguousarray(vec[:, 1]))
-        inside = [True, True]
 
-        def cells(half):
+        def cells(rays):
+            """Whether every pixel id of the rays' entries lies in the grid."""
+            inside = True
             for run in (0, 1):
-                entries = slice(starts[run, half], starts[run, half + 1])
+                first = run * n_chan
+                entries = slice(ends[first + rays.start], ends[first + rays.stop])
                 if entries.start == entries.stop:
                     continue
                 where, scale = at[entries], factor[entries]
@@ -440,17 +434,17 @@ class Projector:
                     cell /= p
                     np.floor(cell, out=cell)
                 seg *= np.take(ray_len, ray, out=scale, mode="clip")
-                inside[half] &= bool(column.min() >= 0 and column.max() < self.width
-                                     and row.min() >= 0 and row.max() < self.height)
+                inside &= bool(column.min() >= 0 and column.max() < self.width
+                               and row.min() >= 0 and row.max() < self.height)
+            return inside
 
-        _both_halves(cells, alphas.size)
+        in_grid = all(_split(cells, n_chan, alphas.size))
         del alphas, runs, rows, at, factor
-        valid = None if all(inside) else (
+        valid = None if in_grid else (
             (ix >= 0) & (ix < self.width) & (iy >= 0) & (iy < self.height))
         iy *= self.width
         iy += ix
         del ix
-        ends = np.cumsum(counts)  # kept entries up to the end of each run
         if valid is not None:
             weights, iy = weights[valid], iy[valid]
             ends = np.concatenate(([0], np.cumsum(valid)))[ends]
@@ -461,26 +455,25 @@ class Projector:
         # across it or the source lies on the boundary.  A pixel id is at
         # or above `boundary` exactly when its row is at or above `middle`.
         source_high = bool(src[1] >= y_planes[middle])
-        boundary, split = middle * self.width, int(ends[n_chan - 1])
+        boundary, split = middle * self.width, int(ends[n_chan])
         bands = _bands(middle, self.height, source_high)
         if not (_beyond(iy[:split], boundary, source_high)
                 and _beyond(iy[split:], boundary, not source_high)):
-            order, ends, first_high = _row_partition(iy >= boundary, ends, source_high)
+            order, ends[1:], first_high = _row_partition(iy >= boundary, ends[1:],
+                                                         source_high)
             weights, iy = weights[order], iy[order]
             bands = (((0, self.height), (self.height, self.height)) if first_high is None
                      else _bands(middle, self.height, first_high))
         pixels = iy.astype(np.int32)
         del iy
-        indptr = np.zeros(2 * n_chan + 1, dtype=np.int32)
-        indptr[1:] = ends
         n_pix = self.width * self.height
+        indptr = ends.astype(np.int32)
         matrix = csr_array((weights, pixels, indptr), shape=(2 * n_chan, n_pix))
         # on this thread, which has the new matrix in its cache
         row_divisors = np.zeros(n_chan)
-        _add_ray_sums(matrix, np.ones(n_pix), row_divisors, 0, n_chan)
+        _add_ray_sums(matrix, np.ones(n_pix), row_divisors, slice(0, n_chan))
         col_divisors = np.empty((self.height, self.width))
-        for half in (0, 1):
-            _back_band(matrix, bands, np.ones(n_chan), col_divisors, half)
+        _back_band(matrix, bands, np.ones(n_chan), col_divisors, slice(0, 2))
         row_divisors[row_divisors == 0.0] = 1.0
         col_divisors[col_divisors == 0.0] = 1.0
         return _View(matrix, bands, row_divisors, col_divisors)
@@ -544,12 +537,7 @@ class Projector:
         channels = matrix.shape[0] // 2
         x = np.ascontiguousarray(x, dtype=np.float64)
         out = np.zeros((channels,) + x.shape[1:])
-
-        def project(half):
-            lo, hi = _channel_half(channels, half)
-            _add_ray_sums(matrix, x, out[lo:hi], lo, hi)
-
-        _both_halves(project, matrix.nnz)
+        _split(lambda rays: _add_ray_sums(matrix, x, out[rays], rays), channels, matrix.nnz)
         return out
 
     def _back(self, matrix: csr_array, bands: Bands, residual: np.ndarray) -> np.ndarray:
@@ -557,8 +545,8 @@ class Projector:
         through a traced view, each band on one core."""
         residual = np.ascontiguousarray(residual, dtype=np.float64)
         out = np.empty((self.height, self.width))
-        _both_halves(lambda half: _back_band(matrix, bands, residual, out, half),
-                     matrix.nnz)
+        _split(lambda halves: _back_band(matrix, bands, residual, out, halves),
+               2, matrix.nnz)
         return out
 
     def view_sums(self, view_index: int) -> ViewSums:
@@ -605,20 +593,17 @@ class Projector:
         channels = self.geom.detector_channels
         out = np.empty((len(self.angles_deg), channels))
 
-        def project(half):
-            lo, hi = _channel_half(channels, half)
-            product = np.empty((hi - lo,) + operand.shape[1:])
-            columns_of = product.reshape(hi - lo, -1)
+        def project(rays):
+            product = np.empty((rays.stop - rays.start,) + operand.shape[1:])
+            columns_of = product.reshape(len(product), -1)
             for source, views in users.items():
                 product.fill(0.0)
-                _add_ray_sums(stored[source], operand, product, lo, hi)
+                _add_ray_sums(stored[source], operand, product, rays)
                 for view, column, step in views:
-                    if step == 1:
-                        out[view, lo:hi] = columns_of[:, column]
-                    else:  # channel c reads ray channels - 1 - c
-                        out[view, channels - hi:channels - lo] = columns_of[::-1, column]
+                    # at step -1, channel c reads ray channels - 1 - c
+                    out[view, ::step][rays] = columns_of[:, column]
 
-        _both_halves(project, sum(matrix.nnz for matrix in stored.values()))
+        _split(project, channels, sum(matrix.nnz for matrix in stored.values()))
         return out
 
     def sart_update_view(self, values: np.ndarray, p_view: np.ndarray,
@@ -640,20 +625,19 @@ class Projector:
         residual = np.zeros(channels)
         update = np.empty((self.height, self.width))
 
-        def project(half):
-            lo, hi = _channel_half(channels, half)
-            part = residual[lo:hi]
-            _add_ray_sums(matrix, x, part, lo, hi)
-            np.subtract(p_view[lo:hi], part, out=part)
-            part /= view.row_divisors[lo:hi]
+        def project(rays):
+            part = residual[rays]
+            _add_ray_sums(matrix, x, part, rays)
+            np.subtract(p_view[rays], part, out=part)
+            part /= view.row_divisors[rays]
 
-        def back_project(half):
-            band = _back_band(matrix, view.bands, residual, update, half)
-            top, bottom = view.bands[half]
-            band /= view.col_divisors[top:bottom]
+        def back_project(halves):
+            rows = _back_band(matrix, view.bands, residual, update, halves)
+            band = update[rows]
+            band /= view.col_divisors[rows]
             band *= relaxation
-            band += image[top:bottom]
+            band += image[rows]
 
-        _both_halves(project, matrix.nnz)
-        _both_halves(back_project, matrix.nnz)
+        _split(project, channels, matrix.nnz)
+        _split(back_project, 2, matrix.nnz)
         return self._from_traced(update, *frame)

@@ -26,17 +26,14 @@ divergence (with Yᵀ) another; ``|g|`` with each band's peak, the division
 by the peak, the update, each down-sample and the sample of an image are
 one each.  Every sum and ``vdot`` still runs over the whole array on the
 calling thread, and a peak is the larger of the bands' peaks, which is
-exact, so every bit is the inline run's.  A block runs once over the whole
-array, as on one core, when the process may run on one CPU only or the
-block works on fewer than ``core._MIN_SPLIT_PIXELS`` pixels (65,536:
-256 x 256).  Measured by one regularizer phase split and inline (2-core
-x86-64 VM, medians of 10 to 20): 512² wtv 52 against 78 ms; 256² wtv 13.1 against
-16.3 ms and ssatv1 l5 20.5 against 29.1 ms; 224² wtv 11.2 against 12.6 ms;
-192² wtv 9.8 against 8.5 ms and 128² ssatv1 l5 10.1 against 7.0 ms.  A
-trial's weighted magnitudes need one image-size buffer besides the trial
-itself, since one band's ``dy²`` would overwrite rows the other band's Y
-product still reads: the ``scratch`` buffer of :class:`Buffers`, or on a
-sampled descent the first rows of the idle ``pulled`` buffer.
+exact, so every bit is the inline run's.  Each block is a task over a
+slice of rows handed to ``core._split``; below the size rule of
+:mod:`latomo.core`, counted in pixels, it runs once over the whole array on
+the calling thread, as on one core.  A trial's weighted magnitudes need
+one image-size buffer besides the trial itself, since one band's ``dy²``
+would overwrite rows the other band's Y product still reads: the
+``scratch`` buffer of :class:`Buffers`, or on a sampled descent the first
+rows of the idle ``pulled`` buffer.
 """
 
 from __future__ import annotations
@@ -44,13 +41,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
-from .core import MU_PER_HU, ParameterError, _row_bands, is_count
+from .core import MU_PER_HU, ParameterError, _split, is_count
 
 # The pull-back check of a sampled descent reports on the ssatv2 logger, the
 # variant that samples.
@@ -290,10 +287,11 @@ def _reweight(magnitude: np.ndarray, eps_mu: float,
     return np.divide(1.0, out, out=out)
 
 
-def _in_bands(task: Callable[[slice], None], image: np.ndarray) -> None:
+def _in_bands(task: Callable[[slice], Any], image: np.ndarray) -> list:
     """One block: ``task(rows)`` over the rows of ``image`` (the array the
-    block writes), split into two row bands when that pays."""
-    _row_bands(task, len(image), image.size)
+    block writes), split into two row bands when that pays; the bands'
+    results, in order."""
+    return _split(task, len(image), image.size)
 
 
 def _sample(f: np.ndarray, yop: RowOperator, eps_mu: float, buffers: Buffers,
@@ -565,13 +563,8 @@ def normalize_direction(g: np.ndarray,
     flags an all-zero gradient, whose direction is all zeros.  The peak is
     the larger of the row bands' peaks, which is exact."""
     scaled = np.empty(np.shape(g)) if out is None else out
-    peaks = np.zeros(2)  # |g| >= 0, so an unused band's 0 changes no peak
-
-    def magnitudes(rows):
-        peaks[int(rows.start > 0)] = np.max(np.abs(g[rows], out=scaled[rows]))
-
-    _in_bands(magnitudes, scaled)
-    peak = float(np.max(peaks))
+    peak = float(np.max(_in_bands(
+        lambda rows: np.max(np.abs(g[rows], out=scaled[rows])), scaled)))
     if peak == 0.0:
         return scaled, True
     _in_bands(lambda rows: np.divide(g[rows], peak, out=scaled[rows]), scaled)

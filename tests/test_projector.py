@@ -863,7 +863,7 @@ def shared_worker():
 
 
 # The module globals that decide whether a step splits.
-SPLIT_RULES = ("_worker", "_MIN_SPLIT_ENTRIES", "_MIN_SPLIT_PIXELS")
+SPLIT_RULES = ("_worker", "_MIN_SPLIT")
 
 
 @contextmanager
@@ -871,7 +871,7 @@ def split_everything():
     """Every product, trace and regularizer block split between this thread
     and a worker, whatever the CPU count and size."""
     saved = [getattr(core, name) for name in SPLIT_RULES]
-    core._worker, core._MIN_SPLIT_ENTRIES, core._MIN_SPLIT_PIXELS = shared_worker(), 0, 0
+    core._worker, core._MIN_SPLIT = shared_worker(), 0
     try:
         yield
     finally:
@@ -973,8 +973,7 @@ def use_worker(monkeypatch):
     """Every product, trace and regularizer block split, whatever the CPU
     count and size."""
     monkeypatch.setattr(core, "_worker", shared_worker())
-    monkeypatch.setattr(core, "_MIN_SPLIT_ENTRIES", 0)
-    monkeypatch.setattr(core, "_MIN_SPLIT_PIXELS", 0)
+    monkeypatch.setattr(core, "_MIN_SPLIT", 0)
 
 
 @pytest.fixture

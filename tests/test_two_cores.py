@@ -1,14 +1,16 @@
-"""The regularizer split between two cores keeps every bit of the inline run.
+"""The regularizer split between two cores keeps every bit of the inline run,
+and every split step keeps the contract of ``core._split``.
 
-Every test here forces the split (``split_everything``: the shared worker
-and size rules of 0), so the row bands of each regularizer block run on
-two threads whatever the CPU count and image size.
+The regularizer tests force the split (``split_everything``: the shared
+worker and a size rule of 0), so the row bands of each regularizer block
+run on two threads whatever the CPU count and image size.
 """
 
 import importlib.util
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 import scipy.sparse as sp
 
 from latomo import core, tv
+from latomo import projector as projector_module
+from latomo.projector import Projector
 from latomo.tv import (
     Buffers,
     LineSearchParams,
@@ -32,7 +36,7 @@ from latomo.tv import (
     tv_value,
 )
 
-from test_projector import split_everything, use_worker
+from test_projector import SWEEP_SCAN, split_everything, use_worker
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pin_digests.py"
 _spec = importlib.util.spec_from_file_location("pin_digests", SCRIPT)
@@ -215,3 +219,94 @@ def test_threads_regularizing_their_own_images(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == want
+
+
+# -- the split contract -----------------------------------------------------
+
+def recorded_splits(monkeypatch):
+    """Records every split step of the projector and the regularizer: a
+    list of (n, the slices its task ran on), one entry per step."""
+    steps = []
+    split = core._split
+
+    def spy(task, n, size):
+        parts = []
+        steps.append((n, parts))
+
+        def part(rows):
+            parts.append(rows)
+            return task(rows)
+
+        return split(part, n, size)
+
+    monkeypatch.setattr(projector_module, "_split", spy)
+    monkeypatch.setattr(tv, "_split", spy)
+    return steps
+
+
+def every_split_step():
+    """A trace, a SART view update, a full forward projection and the
+    regularizer's blocks (value, gradient, direction and descent)."""
+    proj = Projector(*SWEEP_SCAN)
+    f = np.random.default_rng(59).uniform(0.0, 0.04, (proj.height, proj.width))
+    proj._trace(0)
+    proj.sart_update_view(f, proj.forward_view(f, 1), 1, 0.8)
+    proj.forward(f)
+    yop = forward_diff_op(proj.height)
+    tv.tv_gradient(f, np.ones_like(f), yop, 1e-4)
+    tv.normalize_direction(f - 0.02)
+    descent_steps(f, yop, 2, LineSearchParams(), 5.0)
+
+
+def test_inline_split_steps_run_their_task_once_over_everything(monkeypatch):
+    monkeypatch.setattr(core, "_worker", False)
+    steps = recorded_splits(monkeypatch)
+    every_split_step()
+    assert len(steps) > 10
+    for n, parts in steps:
+        assert parts == [slice(0, n)]
+
+
+def test_forced_split_steps_run_their_task_on_both_halves(monkeypatch):
+    use_worker(monkeypatch)
+    steps = recorded_splits(monkeypatch)
+    every_split_step()
+    assert len(steps) > 10
+    for n, parts in steps:
+        assert sorted(parts, key=lambda rows: rows.start) == [
+            slice(0, n // 2), slice(n // 2, n)]
+
+
+def where(rows):
+    return rows, threading.current_thread().name
+
+
+def test_split_returns_the_parts_results_in_order(monkeypatch):
+    use_worker(monkeypatch)
+    assert core._split(where, 5, 0) == [(slice(0, 2), "MainThread"),
+                                        (slice(2, 5), "latomo-worker")]
+    # one row, or a step below the size rule, runs once here
+    assert core._split(where, 1, 0) == [(slice(0, 1), "MainThread")]
+    monkeypatch.setattr(core, "_MIN_SPLIT", 10)
+    assert core._split(where, 5, 9) == [(slice(0, 5), "MainThread")]
+    assert core._split(where, 5, 10)[1] == (slice(2, 5), "latomo-worker")
+    monkeypatch.setattr(core, "_worker", False)
+    assert core._split(where, 5, 10) == [(slice(0, 5), "MainThread")]
+
+
+def test_a_raise_here_waits_for_the_workers_part(monkeypatch):
+    use_worker(monkeypatch)
+    done = []
+
+    def task(rows):
+        if rows.start == 0:
+            raise RuntimeError("this thread's part failed")
+        time.sleep(0.05)
+        done.append(rows)
+
+    with pytest.raises(RuntimeError, match="this thread's part failed"):
+        core._split(task, 4, 0)
+    assert done == [slice(2, 4)]
+    # the worker lives on
+    assert core._split(where, 4, 0) == [(slice(0, 2), "MainThread"),
+                                        (slice(2, 4), "latomo-worker")]
