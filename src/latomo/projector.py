@@ -157,14 +157,14 @@ def _back_band(matrix: csr_array, bands: Bands, residual: np.ndarray, out: np.nd
     width, C-contiguous) that they own, and returns those rows.  Each
     pixel sums in channel order."""
     channels = matrix.shape[0] // 2
-    tops, bottoms = zip(*bands[halves])
-    rows = slice(min(tops), max(bottoms))  # the bands are adjacent
-    out[rows].fill(0.0)
-    for half in range(2)[halves]:
+    # the two halves' bands split the rows between them
+    top, bottom = bands[halves.start] if halves.stop - halves.start == 1 else (0, len(out))
+    out[top:bottom].fill(0.0)
+    for half in range(halves.start, halves.stop):
         csc_matvec(matrix.shape[1], channels,
                    matrix.indptr[half * channels:(half + 1) * channels + 1],
                    matrix.indices, matrix.data, residual, out.ravel())
-    return rows
+    return slice(top, bottom)
 
 
 def _bands(middle: int, height: int, first_high: bool) -> Bands:
